@@ -1,5 +1,5 @@
 // Concurrent serving bench: replays the Fig.-9-style mixed insert/select
-// stream through the src/serve stack (ServingEngine + sharded CMs +
+// stream through the src/serve stack (ServingEngine + concurrent CMs +
 // SharedLookupCache + WorkloadDriver) at increasing reader-thread counts.
 //
 // Unlike the other benches, which report purely simulated milliseconds,
@@ -20,31 +20,18 @@
 // first-half per-select cost ratio quantifies the difference, and a final
 // synchronous recluster must return the tail to exactly zero.
 //
-// Plan-choice A/B (`--plan-choice` runs ONLY this section, the CI smoke):
-// three query classes -- CM-friendly point lookups, hot clustered-range
-// probes on CATID (no CM covers CATID, so first-match full-scans them
-// forever), and a 50/50 mix under a concurrent append stream -- each run
-// twice on identical seeds: once under the legacy first-match policy and
-// once under cost-based plan choice with buffer-pool calibration. The
-// pool is sized so the hot clustered ranges stay resident while the heap
-// does not fit, which is exactly the Fig. 9 regime the cost model used to
-// over-price. Gates: cost-based is no worse than first-match on every
-// class and >= 1.15x cheaper (mean simulated per-select cost) on the
-// mixed class.
-//
-// Delete-heavy churn (runs in both modes): rounds of equal-sized delete
-// and append batches hold the live-row count level while tombstones and
-// tail rows pile up, compacted every `--compact-every` deletes. Gates: the
-// final synchronous compaction drains tombstones AND tail to exactly 0,
-// and per-select simulated cost while churning stays within 1.3x + 0.05 ms
-// of the compacted append-only-equivalent baseline at the same live-row
-// count.
+// Delete-heavy churn: rounds of equal-sized delete and append batches
+// hold the live-row count level while tombstones and tail rows pile up,
+// compacted every `--compact-every` deletes. Gates: the final synchronous
+// compaction drains tombstones AND tail to exactly 0, and per-select
+// simulated cost while churning stays within 1.3x + 0.05 ms of the
+// compacted append-only-equivalent baseline at the same live-row count.
 //
 // Observability (`--metrics-json <path>` runs ONLY this section, the CI
 // smoke; the full run includes it too): an A/B of the mixed run with and
 // without a ServingMetrics bundle attached gates instrumentation overhead
 // at <= 3% of throughput, and one registry snapshot -- written to <path>
-// -- must cover pool, cache, router, plan-choice, and recluster series
+// -- must cover pool, cache, router, plan-win, and recluster series
 // with the core counters non-zero.
 //
 // `--json <path>` additionally emits machine-readable results
@@ -126,65 +113,6 @@ struct RunRow {
   size_t writers;
   DriverReport report;
 };
-
-/// Hot clustered-range pool: `n` range predicates over a small set of
-/// CATID intervals, revisited round-robin so their pages stay resident.
-std::vector<Query> MakeHotClusteredPool(const Table& t, size_t n,
-                                        size_t num_hot_ranges,
-                                        int64_t range_width, int64_t cat_max,
-                                        Rng* rng) {
-  std::vector<int64_t> hot_starts;
-  hot_starts.reserve(num_hot_ranges);
-  for (size_t i = 0; i < num_hot_ranges; ++i) {
-    hot_starts.push_back(rng->UniformInt(0, cat_max - range_width));
-  }
-  std::vector<Query> pool;
-  pool.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t lo = hot_starts[i % hot_starts.size()];
-    pool.push_back(Query({Predicate::Between(t, "CATID", Value(lo),
-                                             Value(lo + range_width))}));
-  }
-  return pool;
-}
-
-struct PlanChoiceClass {
-  const char* name;
-  double first_match_mean_ms = 0;
-  double cost_based_mean_ms = 0;
-  double Ratio() const {
-    return cost_based_mean_ms > 0 ? first_match_mean_ms / cost_based_mean_ms
-                                  : 0;
-  }
-};
-
-/// One A/B leg: identical seed and query pool under `mode`, from a cold
-/// pool, cache, and calibration. Returns mean simulated per-select cost.
-double RunPlanChoiceLeg(ServingEngine* engine,
-                        ServingOptions::PlanChoice mode,
-                        std::span<const Query> pool,
-                        std::span<const std::vector<std::vector<Key>>>
-                            batches,
-                        size_t lookups, uint64_t seed) {
-  engine->cache().Clear();
-  engine->ResetBufferPool();
-  engine->set_plan_choice(mode);
-  DriverOptions d;
-  d.reader_threads = 2;
-  d.writer_threads = batches.empty() ? 0 : 1;
-  d.lookups_per_reader = lookups / d.reader_threads;
-  d.batches_per_writer = batches.empty() ? 0 : 4;
-  d.writer_pause_us = 10'000;
-  d.use_worker_pool = false;  // selects/appends inline: no queue noise
-  d.seed = seed;
-  WorkloadDriver driver(engine, d);
-  const DriverReport rep = driver.Run(pool, batches);
-  // Drain whatever tail the leg grew so the next leg starts identically.
-  if (!batches.empty()) {
-    if (!engine->Recluster().ok()) std::abort();
-  }
-  return rep.lookups > 0 ? rep.simulated_select_ms / double(rep.lookups) : 0;
-}
 
 struct DeleteHeavyResult {
   double delete_heavy_mean_ms = 0;  // per-select cost while churning
@@ -293,21 +221,12 @@ struct ShardBenchResult {
   size_t pruning_selects = 0;
   uint64_t pruning_visits = 0;       // shard executions on CM-pruned traffic
   uint64_t full_scatter_visits = 0;  // what an unpruned scatter would do
-  ShardLeg seq_scatter;  // full-scatter traffic, sequential walk
-  ShardLeg par_scatter;  // the same traffic, parallel gather
-  bool scatter_identical = false;  // probe counts match across modes
   bool speedup_ok = false;
   bool pruning_ok = false;
-  bool scatter_ok = false;
   bool invariants_ok = false;
   double Speedup() const {
     return single_leg.lookups_per_s > 0
                ? routed.lookups_per_s / single_leg.lookups_per_s
-               : 0;
-  }
-  double ScatterSpeedup() const {
-    return seq_scatter.lookups_per_s > 0
-               ? par_scatter.lookups_per_s / seq_scatter.lookups_per_s
                : 0;
   }
   double MeanShardsVisited() const {
@@ -469,85 +388,6 @@ ShardBenchResult RunShardedServing(const EbayGenConfig& cfg,
   res.full_scatter_visits = uint64_t(res.pruning_selects) * num_shards;
   res.pruning_ok = res.pruning_visits < res.full_scatter_visits;
 
-  // ---- Parallel scatter A/B: full-scatter traffic, stall inside visits.
-  // cat6 points carry no clustered predicate and no attached CM, so every
-  // select visits every shard and the scatter itself is the bottleneck.
-  // The per-visit on_shard_visit stall models the device wait each
-  // shard's select pays -- a parallel gather overlaps those waits across
-  // shards while the sequential walk sums them. The wait is scaled 10x
-  // over the mixed runs so it dominates the scan's CPU cost even on small
-  // hosts: overlap only shows when visits wait (the cost model's regime,
-  // where disk ms dwarf CPU), not when they compute. Readers take no
-  // post-merge sleep (the stall already happened inside the visits), so
-  // the two legs do identical work and differ only in scatter mode.
-  const double scatter_stall_us = stall_us * 10;
-  Rng srng(0x5CA7);
-  const std::string& cat6 = base->schema().column(kEbay.cat6).name;
-  std::vector<Query> scat_pool;
-  scat_pool.reserve(64);
-  for (size_t i = 0; i < 64; ++i) {
-    const RowId r =
-        RowId(srng.UniformInt(0, int64_t(base->NumRows()) - 1));
-    scat_pool.push_back(Query({Predicate::Eq(
-        *base, cat6,
-        Value(base->column(kEbay.cat6).dictionary()->Get(
-            base->GetKey(r, kEbay.cat6).AsInt64())))}));
-  }
-  constexpr size_t kPerReaderScatters = 24;
-  constexpr size_t kScatterProbes = 16;
-  const auto scatter_leg = [&](bool parallel) {
-    RouterOptions r2;
-    r2.num_shards = num_shards;
-    r2.engine = so;
-    // The parallel leg needs enough per-shard workers for the readers'
-    // concurrent scatters; the sequential walk runs inline either way.
-    r2.engine.num_workers = parallel ? readers : 1;
-    r2.parallel_scatter = parallel;
-    r2.on_shard_visit = [scatter_stall_us](const SelectResult& sr) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(
-          sr.simulated_ms * scatter_stall_us));
-    };
-    auto c2 = ShardRouter::Create(*base, kEbay.catid, r2);
-    if (!c2.ok()) std::abort();
-    const std::unique_ptr<ShardRouter> rt = std::move(*c2);
-    // Fixed probe set first: merged counts must be bit-identical across
-    // scatter modes.
-    std::vector<uint64_t> counts;
-    counts.reserve(kScatterProbes);
-    for (size_t i = 0; i < kScatterProbes; ++i) {
-      counts.push_back(rt->ExecuteSelect(scat_pool[i]).merged.num_matches);
-    }
-    ShardLeg leg;
-    std::vector<std::thread> threads;
-    std::vector<double> sim(readers, 0);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < readers; ++r) {
-      threads.emplace_back([&, r] {
-        Rng trng(0xF00D + 31 * r);
-        for (size_t i = 0; i < kPerReaderScatters; ++i) {
-          const Query& q = scat_pool[size_t(
-              trng.UniformInt(0, int64_t(scat_pool.size()) - 1))];
-          sim[r] += rt->ExecuteSelect(q).merged.simulated_ms;
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double total = double(readers * kPerReaderScatters);
-    leg.lookups_per_s = wall > 0 ? total / wall : 0;
-    leg.mean_sim_ms =
-        total > 0 ? std::accumulate(sim.begin(), sim.end(), 0.0) / total : 0;
-    return std::make_pair(leg, std::move(counts));
-  };
-  const auto [seq_leg, seq_counts] = scatter_leg(/*parallel=*/false);
-  const auto [par_leg, par_counts] = scatter_leg(/*parallel=*/true);
-  res.seq_scatter = seq_leg;
-  res.par_scatter = par_leg;
-  res.scatter_identical = seq_counts == par_counts;
-  res.scatter_ok = res.scatter_identical && res.ScatterSpeedup() >= 1.5;
-
   res.invariants_ok = router->CheckInvariants().ok();
   res.speedup_ok = res.Speedup() >= 2.5;
   return res;
@@ -562,12 +402,6 @@ void PrintShardSection(const ShardBenchResult& sh) {
               std::to_string(sh.readers),
               TablePrinter::Fmt(sh.routed.lookups_per_s, 0),
               TablePrinter::Fmt(sh.routed.mean_sim_ms, 3)});
-  out.AddRow({"seq scatter (cat6)", std::to_string(sh.readers),
-              TablePrinter::Fmt(sh.seq_scatter.lookups_per_s, 0),
-              TablePrinter::Fmt(sh.seq_scatter.mean_sim_ms, 3)});
-  out.AddRow({"par scatter (cat6)", std::to_string(sh.readers),
-              TablePrinter::Fmt(sh.par_scatter.lookups_per_s, 0),
-              TablePrinter::Fmt(sh.par_scatter.mean_sim_ms, 3)});
   out.Print(std::cout);
   std::cout << "\nsharding (zipf " << TablePrinter::Fmt(sh.zipf, 2)
             << "): routed throughput " << TablePrinter::Fmt(sh.Speedup(), 2)
@@ -579,12 +413,6 @@ void PrintShardSection(const ShardBenchResult& sh) {
             << TablePrinter::Fmt(sh.MeanShardsVisited(), 2)
             << "/select vs full scatter " << sh.shards
             << "; strictly fewer: " << (sh.pruning_ok ? "ok" : "FAIL")
-            << ")\nparallel scatter on unprunable cat6 points: "
-            << TablePrinter::Fmt(sh.ScatterSpeedup(), 2)
-            << "x the sequential walk, merged counts "
-            << (sh.scatter_identical ? "identical" : "DIVERGED")
-            << " (gate >= 1.5x + identical: "
-            << (sh.scatter_ok ? "ok" : "FAIL")
             << ")\nrouter invariants: "
             << (sh.invariants_ok ? "ok" : "FAIL") << "\n\n";
 }
@@ -602,17 +430,9 @@ std::string ShardJson(const ShardBenchResult& sh) {
      << ", \"pruning_selects\": " << sh.pruning_selects
      << ", \"pruning_shard_visits\": " << sh.pruning_visits
      << ", \"full_scatter_visits\": " << sh.full_scatter_visits
-     << ", \"seq_scatter_lookups_per_s\": " << sh.seq_scatter.lookups_per_s
-     << ", \"par_scatter_lookups_per_s\": " << sh.par_scatter.lookups_per_s
-     << ", \"scatter_speedup\": " << sh.ScatterSpeedup()
-     << ", \"scatter_speedup_gate\": 1.5"
-     << ", \"scatter_identical\": "
-     << (sh.scatter_identical ? "true" : "false")
      << ", \"ok\": "
-     << ((sh.speedup_ok && sh.pruning_ok && sh.scatter_ok &&
-          sh.invariants_ok)
-             ? "true"
-             : "false")
+     << ((sh.speedup_ok && sh.pruning_ok && sh.invariants_ok) ? "true"
+                                                                : "false")
      << "}";
   return js.str();
 }
@@ -1022,12 +842,10 @@ int main(int argc, char** argv) {
   const char* metrics_json_path = nullptr;  // --metrics-json: obs smoke
   size_t recluster_every = 16000;  // tail rows that arm a background pass
   size_t compact_every = 4000;     // deletes per in-run compacting pass
-  bool plan_only = false;          // --plan-choice: the quick CI smoke
   bool durability_only = false;    // --durability: WAL + recovery smoke
   size_t shards_only = 0;          // --shards N: sharding section only
   double zipf_s = 0.8;             // --zipf s: skew of the sharded pool
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--plan-choice") == 0) plan_only = true;
     if (std::strcmp(argv[i], "--durability") == 0) durability_only = true;
     if (i + 1 >= argc) continue;
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
@@ -1059,7 +877,7 @@ int main(int argc, char** argv) {
         "Serving observability (metrics registry + traces + drift)",
         "mixed run with the ServingMetrics bundle attached vs detached "
         "(gate: <= 3% throughput overhead); one snapshot must cover "
-        "pool, cache, router, plan-choice, and recluster series",
+        "pool, cache, router, plan-win, and recluster series",
         "ebay items, 2 CMs, 2 readers + 1 writer per arm, " +
             std::to_string(size_t(kStallUsPerSimMs)) +
             " us emulated device wait per simulated ms");
@@ -1115,9 +933,7 @@ int main(int argc, char** argv) {
         "shard, so each select sweeps ~1/N of the tail and appends "
         "spread over N append locks (gate >= 2.5x lookups/s); CM-guided "
         "scatter pruning must visit strictly fewer shards than a full "
-        "scatter on correlated traffic; parallel scatter must beat the "
-        "sequential walk >= 1.5x on unprunable cat6 points with "
-        "identical merged counts",
+        "scatter on correlated traffic",
         "ebay items, identity CM over cat5, " +
             std::to_string(shards_only) + " shards, zipf " +
             TablePrinter::Fmt(zipf_s, 2));
@@ -1135,29 +951,21 @@ int main(int argc, char** argv) {
           << "  \"sharding\": " << ShardJson(sh) << "\n}\n";
       std::cout << "wrote " << json_path << "\n";
     }
-    return (sh.speedup_ok && sh.pruning_ok && sh.scatter_ok &&
-            sh.invariants_ok)
-               ? 0
-               : 1;
+    return (sh.speedup_ok && sh.pruning_ok && sh.invariants_ok) ? 0 : 1;
   }
 
   bench::PrintHeader(
       "Concurrent serving (Fig. 9 workload under a thread pool)",
-      plan_only
-          ? "plan-choice smoke: cost-based choice vs first-match per "
-            "query class (gates: no worse anywhere, >=1.15x on mixed)"
-          : "sharded CMs + a cross-query lookup cache scale lookup "
-            "throughput with reader threads (target: >=3x at 4 readers "
-            "vs 1); plan-choice A/B rides along",
+      "concurrent CMs + a cross-query lookup cache scale lookup "
+      "throughput with reader threads (target: >=3x at 4 readers vs 1)",
       "ebay items, 5 CMs, " + std::to_string(kTotalLookupsPerRun) +
           " lookups/run, " + std::to_string(kStallUsPerSimMs) +
           " us emulated device wait per simulated ms");
 
   EbayGenConfig cfg;
-  // The smoke run shrinks the table so the whole A/B finishes in ~1 s.
-  cfg.num_categories = plan_only ? 600 : 1200;
-  cfg.min_items_per_category = plan_only ? 90 : 120;
-  cfg.max_items_per_category = plan_only ? 150 : 220;
+  cfg.num_categories = 1200;
+  cfg.min_items_per_category = 120;
+  cfg.max_items_per_category = 220;
   auto t = GenerateEbayItems(cfg);
   (void)t->ClusterBy(kEbay.catid);
   auto cidx = ClusteredIndex::Build(*t, kEbay.catid);
@@ -1194,69 +1002,13 @@ int main(int argc, char** argv) {
     batches.push_back(MakeBatch(*t, kAppendBatchRows, &rng));
   }
 
-  // ---- Plan-choice A/B: first-match vs cost-based per query class ----
-  const size_t plan_lookups = plan_only ? 300 : 600;
-  const std::vector<Query> hot_pool = MakeHotClusteredPool(
-      *t, kQueryPool, /*num_hot_ranges=*/8, /*range_width=*/20,
-      int64_t(cfg.num_categories) - 1, &rng);
-  std::vector<Query> mixed_pool;
-  mixed_pool.reserve(kQueryPool);
-  for (size_t i = 0; i < kQueryPool; ++i) {
-    mixed_pool.push_back(i % 2 == 0 ? pool[i] : hot_pool[i]);
-  }
-  PlanChoiceClass plan_classes[3] = {
-      {"cm_point", 0, 0}, {"hot_clustered", 0, 0}, {"mixed_hot", 0, 0}};
-  const std::span<const Query> class_pools[3] = {pool, hot_pool, mixed_pool};
-  for (size_t c = 0; c < 3; ++c) {
-    // The mixed class streams appends alongside the readers (Fig. 9);
-    // each leg ends with a recluster so both start from a drained tail.
-    // The cost-based leg runs second, over the rows the first-match leg
-    // appended -- a slightly LARGER table, so the measured speedup is
-    // biased conservatively against the policy the gate protects.
-    const std::span<const std::vector<std::vector<Key>>> leg_batches =
-        c == 2 ? std::span<const std::vector<std::vector<Key>>>(batches)
-               : std::span<const std::vector<std::vector<Key>>>();
-    plan_classes[c].first_match_mean_ms = RunPlanChoiceLeg(
-        &engine, ServingOptions::PlanChoice::kFirstMatch, class_pools[c],
-        leg_batches, plan_lookups, 0x8e21 + c);
-    plan_classes[c].cost_based_mean_ms = RunPlanChoiceLeg(
-        &engine, ServingOptions::PlanChoice::kCostBased, class_pools[c],
-        leg_batches, plan_lookups, 0x8e21 + c);
-  }
-  engine.set_plan_choice(ServingOptions::PlanChoice::kCostBased);
-  engine.cache().Clear();
-  engine.ResetBufferPool();
-
-  TablePrinter plan_out({"class", "first-match [ms/sel]",
-                         "cost-based [ms/sel]", "speedup"});
-  bool plan_no_worse = true;
-  for (const PlanChoiceClass& c : plan_classes) {
-    plan_out.AddRow({c.name, TablePrinter::Fmt(c.first_match_mean_ms, 3),
-                     TablePrinter::Fmt(c.cost_based_mean_ms, 3),
-                     TablePrinter::Fmt(c.Ratio(), 2)});
-    // "No worse anywhere": a 5% + 0.05 ms allowance absorbs pool-warmth
-    // noise on classes where both policies pick the same plans.
-    if (c.cost_based_mean_ms > c.first_match_mean_ms * 1.05 + 0.05) {
-      plan_no_worse = false;
-    }
-  }
-  plan_out.Print(std::cout);
-  const double mixed_ratio = plan_classes[2].Ratio();
-  const bool plan_ok = plan_no_worse && mixed_ratio >= 1.15;
-  std::cout << "\nplan choice: cost-based "
-            << (plan_no_worse ? "no worse than" : "WORSE than")
-            << " first-match on every class; mixed-hot speedup "
-            << TablePrinter::Fmt(mixed_ratio, 2) << "x (gate >= 1.15x)\n\n";
-
   // ---- Delete-heavy churn: per-select cost under tombstone pressure ----
   // Gates: the final compaction drains tombstones AND tail to exactly 0,
   // and per-select cost while churning stays within 1.3x + 0.05 ms of the
   // compacted append-only-equivalent baseline at the same live-row count.
   const DeleteHeavyResult dh = RunDeleteHeavy(
       &engine, pool, compact_every,
-      /*rounds=*/plan_only ? 6 : 8,
-      /*batch=*/plan_only ? 800 : 1000,
-      /*selects_per_round=*/plan_only ? 25 : 40, 0x9e21);
+      /*rounds=*/8, /*batch=*/1000, /*selects_per_round=*/40, 0x9e21);
   const bool delete_cost_ok =
       dh.delete_heavy_mean_ms <= dh.baseline_mean_ms * 1.3 + 0.05;
   const bool delete_ok = dh.drained && delete_cost_ok;
@@ -1278,35 +1030,6 @@ int main(int argc, char** argv) {
             << TablePrinter::Fmt(dh.Ratio(), 2)
             << "x the compacted baseline (gate <= 1.3x + 0.05 ms: "
             << (delete_cost_ok ? "ok" : "FAIL") << ")\n\n";
-
-  if (plan_only) {
-    if (json_path != nullptr) {
-      std::ostringstream js;
-      js << "{\n  \"bench\": \"serve_mixed_plan_choice_smoke\",\n"
-         << "  \"plan_choice\": [\n";
-      for (size_t c = 0; c < 3; ++c) {
-        js << "    {\"class\": \"" << plan_classes[c].name
-           << "\", \"first_match_ms\": "
-           << plan_classes[c].first_match_mean_ms
-           << ", \"cost_based_ms\": " << plan_classes[c].cost_based_mean_ms
-           << ", \"speedup\": " << plan_classes[c].Ratio() << "}"
-           << (c + 1 < 3 ? "," : "") << "\n";
-      }
-      js << "  ],\n  \"plan_choice_ok\": " << (plan_ok ? "true" : "false")
-         << ",\n  \"delete_heavy\": {\"deletes\": " << dh.deletes
-         << ", \"compact_every\": " << compact_every
-         << ", \"in_run_compactions\": " << dh.in_run_compactions
-         << ", \"churn_ms\": " << dh.delete_heavy_mean_ms
-         << ", \"compacted_ms\": " << dh.baseline_mean_ms
-         << ", \"ratio\": " << dh.Ratio()
-         << ", \"tombstones_after_final\": " << dh.tombstones_after_final
-         << ", \"tail_after_final\": " << dh.tail_after_final
-         << ", \"ok\": " << (delete_ok ? "true" : "false") << "}\n}\n";
-      std::ofstream(json_path) << js.str();
-      std::cout << "wrote " << json_path << "\n";
-    }
-    return (plan_ok && delete_ok) ? 0 : 1;
-  }
 
   std::vector<RunRow> runs;
   for (size_t readers : {size_t(1), size_t(2), size_t(4)}) {
@@ -1432,8 +1155,7 @@ int main(int argc, char** argv) {
       scfg, /*num_shards=*/4, zipf_s, /*readers=*/16, /*per_reader=*/40,
       /*seed_tail_rows=*/24000, kStallUsPerSimMs);
   PrintShardSection(sh);
-  const bool shard_ok =
-      sh.speedup_ok && sh.pruning_ok && sh.scatter_ok && sh.invariants_ok;
+  const bool shard_ok = sh.speedup_ok && sh.pruning_ok && sh.invariants_ok;
 
   // ---- Observability: instrumentation overhead + snapshot coverage ----
   const ObsBenchResult ob = RunObservability(scfg);
@@ -1464,16 +1186,7 @@ int main(int argc, char** argv) {
          << ", \"wall_s\": " << rep.wall_seconds << "}"
          << (i + 1 < runs.size() ? "," : "") << "\n";
     }
-    js << "  ],\n  \"plan_choice\": [\n";
-    for (size_t c = 0; c < 3; ++c) {
-      js << "    {\"class\": \"" << plan_classes[c].name
-         << "\", \"first_match_ms\": " << plan_classes[c].first_match_mean_ms
-         << ", \"cost_based_ms\": " << plan_classes[c].cost_based_mean_ms
-         << ", \"speedup\": " << plan_classes[c].Ratio() << "}"
-         << (c + 1 < 3 ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"plan_choice_ok\": " << (plan_ok ? "true" : "false")
-       << ",\n  \"delete_heavy\": {\"deletes\": " << dh.deletes
+    js << "  ],\n  \"delete_heavy\": {\"deletes\": " << dh.deletes
        << ", \"compact_every\": " << compact_every
        << ", \"in_run_compactions\": " << dh.in_run_compactions
        << ", \"churn_ms\": " << dh.delete_heavy_mean_ms
@@ -1499,7 +1212,7 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json_path << "\n";
   }
   return (speedup >= 3.0 && inv.ok() && mismatches == 0 && recluster_ok &&
-          plan_ok && delete_ok && shard_ok && obs_ok && durability_ok)
+          delete_ok && shard_ok && obs_ok && durability_ok)
              ? 0
              : 1;
 }

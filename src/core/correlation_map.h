@@ -213,10 +213,10 @@ class CorrelationMap {
   Status DeleteValues(std::span<const Key> u_keys, int64_t c_ordinal);
 
   /// Precomputed-pair maintenance: the caller already bucketed the row to
-  /// its (u-key, clustered ordinal) pair. The sharded serving wrapper
-  /// buckets each row exactly once -- for shard routing -- and passes the
-  /// pair down instead of having the shard's map re-derive it from the
-  /// table. Post-state is identical to InsertRow/DeleteRow on the source
+  /// its (u-key, clustered ordinal) pair. The concurrent serving wrapper
+  /// (src/serve/concurrent_cm.h) buckets rows before taking its exclusive
+  /// lock and passes the pairs down, so the lock covers only the map
+  /// update. Post-state is identical to InsertRow/DeleteRow on the source
   /// row.
   void UpsertPair(const CmKey& u_key, int64_t c_ordinal, uint32_t count = 1);
   Status RetractPair(const CmKey& u_key, int64_t c_ordinal);
@@ -237,8 +237,8 @@ class CorrelationMap {
   int64_t ClusteredOrdinalOfRow(RowId row) const;
 
   /// Bucketed u-key of a row / of explicit attribute values. Public so the
-  /// sharded wrapper (src/serve/sharded_cm.h) can route maintenance to the
-  /// shard owning the key without re-implementing the bucketing.
+  /// concurrent wrapper can bucket outside its lock without
+  /// re-implementing the bucketing.
   CmKey UKeyOfRow(RowId row) const;
   CmKey UKeyOfValues(std::span<const Key> u_keys) const;
 
@@ -262,24 +262,8 @@ class CorrelationMap {
   CmLookupResult LookupViaScan(std::span<const CmColumnPredicate> preds) const;
 
   /// True when any column carries a range predicate (those take the
-  /// sorted-directory path; only all-points vectors compile to probe
-  /// keys). Callers must check this before treating a false return from
-  /// CompilePointProbeKeys as "provably empty".
+  /// sorted-directory path; all-points vectors probe the hash map).
   static bool HasRangePredicate(std::span<const CmColumnPredicate> preds);
-
-  /// Compiles an all-points predicate vector to the exact cross product of
-  /// bucketed CmKeys a point lookup probes. Returns false when any column
-  /// carries a range predicate (the directory path answers those) or a
-  /// constraint is provably empty -- disambiguate with HasRangePredicate.
-  /// The sharded wrapper uses this to route each probe key to its owning
-  /// shard instead of probing every shard.
-  bool CompilePointProbeKeys(std::span<const CmColumnPredicate> preds,
-                             std::vector<CmKey>* out) const;
-
-  /// Probes exactly `keys` in the hash map and coalesces the co-occurring
-  /// clustered ordinals (the all-points half of Lookup, split out so probe
-  /// keys can be routed shard-by-shard). Keys must be pre-bucketed.
-  CmLookupResult LookupKeys(std::span<const CmKey> keys) const;
 
   /// Legacy vector-of-ordinals facade over Lookup(). Sorted ascending,
   /// deduplicated.
@@ -388,6 +372,18 @@ class CorrelationMap {
 
   CorrelationMap(const Table* table, CmOptions options)
       : table_(table), options_(std::move(options)) {}
+
+  /// Compiles an all-points predicate vector to the exact cross product of
+  /// bucketed CmKeys a point lookup probes. Returns false when any column
+  /// carries a range predicate (the directory path answers those) or a
+  /// constraint is provably empty -- disambiguate with HasRangePredicate.
+  bool CompilePointProbeKeys(std::span<const CmColumnPredicate> preds,
+                             std::vector<CmKey>* out) const;
+
+  /// Probes exactly `keys` in the hash map and coalesces the co-occurring
+  /// clustered ordinals (the all-points half of Lookup). Keys must be
+  /// pre-bucketed.
+  CmLookupResult LookupKeys(std::span<const CmKey> keys) const;
 
   /// Compiles predicates to ordinal constraints; returns false when any
   /// column's constraint is provably empty (no key can match).

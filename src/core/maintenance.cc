@@ -124,39 +124,26 @@ ExecResult MaintenanceDriver::SelectViaBTree(const SecondaryIndex& index,
   // page-deduplicated).
   ExecResult out;
   out.path = "sorted_index_scan(pooled)";
-  const size_t icol = index.columns().front();
-  const Predicate* pred = nullptr;
-  for (const auto& p : query.predicates()) {
-    if (p.column() == icol) pred = &p;
-  }
+  const Predicate* pred = FindPredicateOn(query, index.columns().front());
   assert(pred != nullptr);
-
-  std::vector<RowId> rids;
-  if (pred->op() == Predicate::Op::kRange) {
-    rids = index.LookupRange(CompositeKey(Key(pred->lo())),
-                             CompositeKey(Key(pred->hi())));
-  } else {
-    for (const Key& k : pred->keys()) {
-      auto r = index.LookupEqual(CompositeKey(k));
-      rids.insert(rids.end(), r.begin(), r.end());
-    }
-  }
+  size_t n_probes = 0;
+  std::vector<RowId> rids =
+      SecondaryIndexRids(*table_, index, *pred, &n_probes);
   std::sort(rids.begin(), rids.end());
+  RowFilterCounts counts;
+  std::vector<PageNo> pages;
+  pages.reserve(rids.size());
+  FilterRidList(*table_, query, rids, &counts, &out.rows, &pages);
+  out.rows_examined = counts.examined;
   // Heap pages: misses are swept in page order (readahead merges small
   // gaps), so the read cost is run-based; the pool caches what was read.
   std::vector<PageNo> missed;
   PageNo last = PageNo(-1);
-  for (RowId r : rids) {
-    const PageNo p = table_->layout().PageOfRow(r);
-    if (p != last) {
-      if (!pool_->IsCached(PageId{heap_file_, p})) missed.push_back(p);
-      pool_->Admit(PageId{heap_file_, p}, /*mark_dirty=*/false);
-      last = p;
-    }
-    ++out.rows_examined;
-    if (!table_->IsDeleted(r) && query.Matches(*table_, r)) {
-      out.rows.push_back(r);
-    }
+  for (const PageNo p : pages) {
+    if (p == last) continue;
+    if (!pool_->IsCached(PageId{heap_file_, p})) missed.push_back(p);
+    pool_->Admit(PageId{heap_file_, p}, /*mark_dirty=*/false);
+    last = p;
   }
   const uint64_t gap = uint64_t(config_.disk.seek_ms() / config_.disk.seq_page_ms());
   out.io = CostOfRuns(ExtractRuns(std::move(missed), gap));
@@ -175,36 +162,17 @@ ExecResult MaintenanceDriver::SelectViaCm(const CorrelationMap& cm,
   auto preds = CmPredicatesFor(cm, query);
   assert(preds.ok());
   const CmLookupResult res = cm.Lookup(*preds);
-
-  std::vector<RowRange> ranges;
-  if (cm.has_clustered_buckets()) {
-    for (const OrdinalRange& r : res.ranges) {
-      RowRange range = cm.options().c_buckets->RangeOfBucketRun(r.lo, r.hi);
-      if (!range.empty()) ranges.push_back(range);
-    }
-  } else {
-    for (const OrdinalRange& r : res.ranges) {
-      RowRange range = cidx.LookupRange(cm.DecodeClusteredOrdinal(r.lo),
-                                        cm.DecodeClusteredOrdinal(r.hi));
-      if (!range.empty()) ranges.push_back(range);
-    }
+  const CmRowRanges rr = TranslateCmRuns(*table_, cidx, cm.options(), res);
+  RowFilterCounts counts;
+  std::vector<PageNo> pages;
+  for (const RowRange& range : rr.ranges) {
+    FilterRowRange(*table_, query, range, &counts, &out.rows, &pages);
   }
-  std::sort(ranges.begin(), ranges.end(),
-            [](const RowRange& a, const RowRange& b) { return a.begin < b.begin; });
+  out.rows_examined = counts.examined;
   std::vector<PageNo> missed;
-  for (const auto& range : ranges) {
-    const PageNo first = table_->layout().PageOfRow(range.begin);
-    const PageNo last = table_->layout().PageOfRow(range.end - 1);
-    for (PageNo p = first; p <= last; ++p) {
-      if (!pool_->IsCached(PageId{heap_file_, p})) missed.push_back(p);
-      pool_->Admit(PageId{heap_file_, p}, /*mark_dirty=*/false);
-    }
-    for (RowId r = range.begin; r < range.end; ++r) {
-      ++out.rows_examined;
-      if (!table_->IsDeleted(r) && query.Matches(*table_, r)) {
-        out.rows.push_back(r);
-      }
-    }
+  for (const PageNo p : pages) {
+    if (!pool_->IsCached(PageId{heap_file_, p})) missed.push_back(p);
+    pool_->Admit(PageId{heap_file_, p}, /*mark_dirty=*/false);
   }
   const uint64_t gap = uint64_t(config_.disk.seek_ms() / config_.disk.seq_page_ms());
   out.io = CostOfRuns(ExtractRuns(std::move(missed), gap));

@@ -8,14 +8,6 @@ namespace corrmap {
 
 namespace {
 
-/// Finds the predicate on `col` in `query`, if any.
-const Predicate* FindPredicateOn(const Query& query, size_t col) {
-  for (const auto& p : query.predicates()) {
-    if (p.column() == col) return &p;
-  }
-  return nullptr;
-}
-
 /// Applies the min(..., cost_scan) bound (§4.1): when a bitmap-style sweep
 /// would cost more than reading the table front to back, the executor scans
 /// instead. Matched rows are already exact; only the I/O story changes.
@@ -37,18 +29,12 @@ void MaybeDegradeToScan(const Table& table, const ExecOptions& opts,
 void SweepRanges(const Table& table, const Query& query,
                  const std::vector<RowRange>& ranges, const ExecOptions& opts,
                  ExecResult* out) {
+  RowFilterCounts counts;
   std::vector<PageNo> pages;
-  for (const auto& range : ranges) {
-    if (range.empty()) continue;
-    const PageNo first = table.layout().PageOfRow(range.begin);
-    const PageNo last = table.layout().PageOfRow(range.end - 1);
-    for (PageNo p = first; p <= last; ++p) pages.push_back(p);
-    for (RowId r = range.begin; r < range.end; ++r) {
-      ++out->rows_examined;
-      if (table.IsDeleted(r)) continue;
-      if (query.Matches(table, r)) out->rows.push_back(r);
-    }
+  for (const RowRange& range : ranges) {
+    FilterRowRange(table, query, range, &counts, &out->rows, &pages);
   }
+  out->rows_examined += counts.examined;
   if (opts.keep_trace) {
     for (PageNo p : pages) out->trace.Touch(p);
   }
@@ -76,14 +62,11 @@ void SweepRidPages(const Table& table, const Query& query,
                    ExecResult* out) {
   std::sort(rids.begin(), rids.end());
   rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
+  RowFilterCounts counts;
   std::vector<PageNo> pages;
   pages.reserve(rids.size());
-  for (RowId r : rids) {
-    pages.push_back(table.layout().PageOfRow(r));
-    ++out->rows_examined;
-    if (table.IsDeleted(r)) continue;
-    if (query.Matches(table, r)) out->rows.push_back(r);
-  }
+  FilterRidList(table, query, rids, &counts, &out->rows, &pages);
+  out->rows_examined += counts.examined;
   if (opts.keep_trace) {
     for (PageNo p : pages) out->trace.Touch(p);
   }
@@ -97,12 +80,10 @@ ExecResult FullTableScan(const Table& table, const Query& query,
                          const ExecOptions& opts) {
   ExecResult out;
   out.path = "seq_scan";
-  const size_t n = table.NumRows();
-  for (RowId r = 0; r < n; ++r) {
-    ++out.rows_examined;
-    if (table.IsDeleted(r)) continue;
-    if (query.Matches(table, r)) out.rows.push_back(r);
-  }
+  RowFilterCounts counts;
+  FilterRowRange(table, query, RowRange{0, RowId(table.NumRows())}, &counts,
+                 &out.rows);
+  out.rows_examined = counts.examined;
   out.io.seq_pages = table.NumPages();
   if (opts.keep_trace) {
     for (PageNo p = 0; p < table.NumPages(); ++p) out.trace.Touch(p);
@@ -117,23 +98,10 @@ ExecResult ClusteredIndexScan(const Table& table, const ClusteredIndex& cidx,
   out.path = "clustered_index_scan";
   const Predicate* pred = FindPredicateOn(query, cidx.column());
   assert(pred != nullptr && "query must predicate the clustered column");
-
-  std::vector<RowRange> ranges;
-  size_t n_probes = 0;
-  if (pred->op() == Predicate::Op::kRange) {
-    Key lo = table.column(cidx.column()).EncodeKey(Value(pred->lo()));
-    Key hi = table.column(cidx.column()).EncodeKey(Value(pred->hi()));
-    ranges.push_back(cidx.LookupRange(lo, hi));
-    n_probes = 1;
-  } else {
-    for (const Key& k : pred->keys()) {
-      RowRange range = cidx.LookupEqual(k);
-      if (!range.empty()) ranges.push_back(range);
-    }
-    n_probes = pred->keys().size();
-  }
-  std::sort(ranges.begin(), ranges.end(),
-            [](const RowRange& a, const RowRange& b) { return a.begin < b.begin; });
+  const std::vector<RowRange> ranges =
+      ClusteredRangesFor(table, cidx, *pred, ~RowId{0});
+  const size_t n_probes =
+      pred->op() == Predicate::Op::kRange ? 1 : pred->keys().size();
   out.io.seeks += uint64_t(n_probes) * cidx.BTreeHeight();
   SweepRanges(table, query, ranges, opts, &out);
   out.ms = opts.disk.CostMs(out.io);
@@ -144,43 +112,28 @@ ExecResult PipelinedIndexScan(const Table& table, const SecondaryIndex& index,
                               const Query& query, const ExecOptions& opts) {
   ExecResult out;
   out.path = "pipelined_index_scan";
-  const size_t icol = index.columns().front();
-  const Predicate* pred = FindPredicateOn(query, icol);
+  const Predicate* pred = FindPredicateOn(query, index.columns().front());
   assert(pred != nullptr && "query must predicate the indexed column");
 
   // Probe values one at a time in the order given; each probe descends the
   // tree, then fetches heap tuples in index order (no sorting).
-  std::vector<RowId> rids;
   size_t n_probes = 0;
-  if (pred->op() == Predicate::Op::kRange) {
-    CompositeKey lo(Key(pred->lo())), hi(Key(pred->hi()));
-    if (table.schema().column(icol).type != ValueType::kDouble) {
-      lo = CompositeKey(Key(int64_t(std::ceil(pred->lo()))));
-      hi = CompositeKey(Key(int64_t(std::floor(pred->hi()))));
-    }
-    rids = index.LookupRange(lo, hi);
-    n_probes = 1;
-  } else {
-    for (const Key& k : pred->keys()) {
-      auto r = index.LookupEqual(CompositeKey(k));
-      rids.insert(rids.end(), r.begin(), r.end());
-      ++n_probes;
-    }
-  }
+  const std::vector<RowId> rids =
+      SecondaryIndexRids(table, index, *pred, &n_probes);
   out.io += IndexProbeIo(n_probes, rids.size(), index.Height(),
                          index.tree().LeafPagesFor(rids.size()));
   // Heap access in arrival order: seek whenever the page changes.
+  RowFilterCounts counts;
+  std::vector<PageNo> pages;
+  pages.reserve(rids.size());
+  FilterRidList(table, query, rids, &counts, &out.rows, &pages);
+  out.rows_examined = counts.examined;
   PageNo last_page = PageNo(-1);
-  for (RowId r : rids) {
-    const PageNo p = table.layout().PageOfRow(r);
-    if (p != last_page) {
-      ++out.io.seeks;
-      last_page = p;
-      if (opts.keep_trace) out.trace.Touch(p);
-    }
-    ++out.rows_examined;
-    if (table.IsDeleted(r)) continue;
-    if (query.Matches(table, r)) out.rows.push_back(r);
+  for (const PageNo p : pages) {
+    if (p == last_page) continue;
+    ++out.io.seeks;
+    last_page = p;
+    if (opts.keep_trace) out.trace.Touch(p);
   }
   std::sort(out.rows.begin(), out.rows.end());
   out.ms = opts.disk.CostMs(out.io);
@@ -191,27 +144,11 @@ ExecResult SortedIndexScan(const Table& table, const SecondaryIndex& index,
                            const Query& query, const ExecOptions& opts) {
   ExecResult out;
   out.path = "sorted_index_scan";
-  const size_t icol = index.columns().front();
-  const Predicate* pred = FindPredicateOn(query, icol);
+  const Predicate* pred = FindPredicateOn(query, index.columns().front());
   assert(pred != nullptr && "query must predicate the indexed column");
 
-  std::vector<RowId> rids;
   size_t n_probes = 0;
-  if (pred->op() == Predicate::Op::kRange) {
-    CompositeKey lo(Key(pred->lo())), hi(Key(pred->hi()));
-    if (table.schema().column(icol).type != ValueType::kDouble) {
-      lo = CompositeKey(Key(int64_t(std::ceil(pred->lo()))));
-      hi = CompositeKey(Key(int64_t(std::floor(pred->hi()))));
-    }
-    rids = index.LookupRange(lo, hi);
-    n_probes = 1;
-  } else {
-    for (const Key& k : pred->keys()) {
-      auto r = index.LookupEqual(CompositeKey(k));
-      rids.insert(rids.end(), r.begin(), r.end());
-      ++n_probes;
-    }
-  }
+  std::vector<RowId> rids = SecondaryIndexRids(table, index, *pred, &n_probes);
   out.io += IndexProbeIo(n_probes, rids.size(), index.Height(),
                          index.tree().LeafPagesFor(rids.size()));
   SweepRidPages(table, query, std::move(rids), opts, &out);
@@ -252,45 +189,152 @@ ExecResult VirtualSortedIndexScan(const Table& table, const Query& query,
   return out;
 }
 
+bool CompileCmPredicates(std::span<const size_t> u_cols, const Query& query,
+                         std::vector<CmColumnPredicate>* out) {
+  out->clear();
+  for (const size_t ucol : u_cols) {
+    const Predicate* p = FindPredicateOn(query, ucol);
+    if (p == nullptr) return false;
+    if (p->op() == Predicate::Op::kRange) {
+      out->push_back(CmColumnPredicate::Range(p->lo(), p->hi()));
+    } else {
+      out->push_back(CmColumnPredicate::Points(p->keys()));
+    }
+  }
+  return true;
+}
+
 Result<std::vector<CmColumnPredicate>> CmPredicatesFor(
     const CorrelationMap& cm, const Query& query) {
   std::vector<CmColumnPredicate> preds;
-  for (size_t ucol : cm.options().u_cols) {
-    const Predicate* p = FindPredicateOn(query, ucol);
-    if (p == nullptr) {
-      return Status::InvalidArgument(
-          "CM attribute '" + cm.table().schema().column(ucol).name +
-          "' is not predicated by the query");
-    }
-    if (p->op() == Predicate::Op::kRange) {
-      preds.push_back(CmColumnPredicate::Range(p->lo(), p->hi()));
-    } else {
-      preds.push_back(CmColumnPredicate::Points(p->keys()));
-    }
-  }
-  return preds;
+  const std::vector<size_t>& u_cols = cm.options().u_cols;
+  if (CompileCmPredicates(u_cols, query, &preds)) return preds;
+  // Compilation stops at the first unpredicated attribute.
+  return Status::InvalidArgument(
+      "CM attribute '" + cm.table().schema().column(u_cols[preds.size()]).name +
+      "' is not predicated by the query");
 }
 
 const CmLookupResult* CmLookupCache::GetOrCompute(const CorrelationMap& cm,
                                                   const Query& query) {
-  auto preds = CmPredicatesFor(cm, query);
+  std::vector<CmColumnPredicate> preds;
+  const bool applicable = CompileCmPredicates(cm.options().u_cols, query,
+                                              &preds);
   // Inapplicable CMs key under fingerprint 0 (the predicates don't exist
   // to hash); applicability only depends on the query's predicated
   // columns, which the fingerprint distinguishes for applicable ones.
-  const EntryKey key{&cm,
-                     preds.ok() ? FingerprintCmPredicates(*preds) : 0};
+  const EntryKey key{&cm, applicable ? FingerprintCmPredicates(preds) : 0};
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     std::optional<CmLookupResult> res;
-    if (preds.ok()) res = cm.Lookup(*preds);
+    if (applicable) res = cm.Lookup(preds);
     it = cache_.emplace(key, std::move(res)).first;
   }
   return it->second.has_value() ? &*it->second : nullptr;
 }
 
+CmRowRanges TranslateCmRuns(const Table& table, const ClusteredIndex& cidx,
+                            const CmOptions& cm, const CmLookupResult& res,
+                            RowId clamp_end) {
+  CmRowRanges out;
+  out.ranges.reserve(res.ranges.size());
+  const ClusteredBucketing* cb = cm.c_buckets;
+  const bool double_keys =
+      table.schema().column(cm.c_col).type == ValueType::kDouble;
+  auto decode = [&](int64_t ordinal) {
+    return double_keys ? Key(OrderedOrdinalToDouble(ordinal)) : Key(ordinal);
+  };
+  for (const OrdinalRange& r : res.ranges) {
+    // Raw-key runs: each run of consecutive keys is one clustered-index
+    // range probe (the heap is contiguous over the run's key interval).
+    RowRange range = cb != nullptr
+                         ? cb->RangeOfBucketRun(r.lo, r.hi)
+                         : cidx.LookupRange(decode(r.lo), decode(r.hi));
+    range.end = std::min(range.end, clamp_end);
+    if (range.empty()) continue;
+    if (cb == nullptr) {
+      out.leaves.push_back(table.layout().PageOfRow(range.begin));
+    }
+    out.ranges.push_back(range);
+  }
+  std::sort(out.ranges.begin(), out.ranges.end(),
+            [](const RowRange& a, const RowRange& b) {
+              return a.begin < b.begin;
+            });
+  // c-bucketed: one descent for the whole sorted set, landing on its
+  // first range.
+  if (cb != nullptr && !out.ranges.empty()) {
+    out.leaves.push_back(table.layout().PageOfRow(out.ranges.front().begin));
+  }
+  return out;
+}
+
+std::vector<RowId> SecondaryIndexRids(const Table& table,
+                                      const SecondaryIndex& index,
+                                      const Predicate& pred,
+                                      size_t* n_probes) {
+  const size_t col = index.columns().front();
+  std::vector<RowId> rids;
+  if (pred.op() == Predicate::Op::kRange) {
+    const bool integral =
+        table.schema().column(col).type != ValueType::kDouble;
+    const Column& column = table.column(col);
+    const CompositeKey lo(column.EncodeKey(
+        Value(integral ? std::ceil(pred.lo()) : pred.lo())));
+    const CompositeKey hi(column.EncodeKey(
+        Value(integral ? std::floor(pred.hi()) : pred.hi())));
+    *n_probes = 1;
+    return index.LookupRange(lo, hi);
+  }
+  for (const Key& k : pred.keys()) {
+    const CompositeKey ck(k);
+    const std::vector<RowId> part = index.LookupRange(ck, ck);
+    rids.insert(rids.end(), part.begin(), part.end());
+  }
+  *n_probes = pred.keys().size();
+  return rids;
+}
+
+void FilterRowRange(const Table& table, const Query& query, RowRange range,
+                    RowFilterCounts* counts, std::vector<RowId>* matches,
+                    std::vector<PageNo>* pages) {
+  if (range.empty()) return;
+  if (pages != nullptr) {
+    const PageNo first = table.layout().PageOfRow(range.begin);
+    const PageNo last = table.layout().PageOfRow(range.end - 1);
+    for (PageNo p = first; p <= last; ++p) pages->push_back(p);
+  }
+  counts->examined += uint64_t(range.end - range.begin);
+  for (RowId r = range.begin; r < range.end; ++r) {
+    if (table.IsDeleted(r)) {
+      ++counts->dead;
+      continue;
+    }
+    if (!query.Matches(table, r)) continue;
+    ++counts->matches;
+    if (matches != nullptr) matches->push_back(r);
+  }
+}
+
+void FilterRidList(const Table& table, const Query& query,
+                   std::span<const RowId> rids, RowFilterCounts* counts,
+                   std::vector<RowId>* matches, std::vector<PageNo>* pages) {
+  counts->examined += rids.size();
+  for (const RowId r : rids) {
+    if (pages != nullptr) pages->push_back(table.layout().PageOfRow(r));
+    if (table.IsDeleted(r)) {
+      ++counts->dead;
+      continue;
+    }
+    if (!query.Matches(table, r)) continue;
+    ++counts->matches;
+    if (matches != nullptr) matches->push_back(r);
+  }
+}
+
 ExecResult CmScan(const Table& table, const CorrelationMap& cm,
                   const ClusteredIndex& cidx, const Query& query,
-                  const ExecOptions& opts, CmLookupSource* cache) {
+                  const ExecOptions& opts, CmLookupCache* cache) {
   ExecResult out;
   out.path = "cm_scan";
   CmLookupResult local;
@@ -314,32 +358,9 @@ ExecResult CmScan(const Table& table, const CorrelationMap& cm,
         std::min<uint64_t>(cm.NumPages(), cm.PagesForEntries(res->entries_probed));
   }
 
-  // Translate the coalesced ordinal runs to row ranges.
-  std::vector<RowRange> ranges;
-  ranges.reserve(res->ranges.size());
-  size_t n_probes = 0;
-  if (cm.has_clustered_buckets()) {
-    for (const OrdinalRange& r : res->ranges) {
-      RowRange range = cm.options().c_buckets->RangeOfBucketRun(r.lo, r.hi);
-      if (!range.empty()) ranges.push_back(range);
-    }
-    // Bucket ids resolve positionally; probing the clustered index costs
-    // one descent for the whole sorted set (ranges are swept in order).
-    n_probes = res->empty() ? 0 : 1;
-  } else {
-    // Each run of consecutive raw keys becomes one clustered-index range
-    // probe: the clustered heap is contiguous over the run's key interval.
-    for (const OrdinalRange& r : res->ranges) {
-      RowRange range = cidx.LookupRange(cm.DecodeClusteredOrdinal(r.lo),
-                                        cm.DecodeClusteredOrdinal(r.hi));
-      if (!range.empty()) ranges.push_back(range);
-    }
-    n_probes = res->ranges.size();
-  }
-  std::sort(ranges.begin(), ranges.end(),
-            [](const RowRange& a, const RowRange& b) { return a.begin < b.begin; });
-  out.io.seeks += uint64_t(n_probes) * cidx.BTreeHeight();
-  SweepRanges(table, query, ranges, opts, &out);
+  const CmRowRanges rr = TranslateCmRuns(table, cidx, cm.options(), *res);
+  out.io.seeks += uint64_t(rr.leaves.size()) * cidx.BTreeHeight();
+  SweepRanges(table, query, rr.ranges, opts, &out);
   out.ms = opts.disk.CostMs(out.io);
   MaybeDegradeToScan(table, opts, &out);
   return out;

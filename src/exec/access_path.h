@@ -19,12 +19,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/correlation_map.h"
 #include "core/cost_model.h"
+#include "exec/plan_choice.h"
 #include "exec/predicate.h"
 #include "index/clustered_index.h"
 #include "index/secondary_index.h"
@@ -114,25 +116,6 @@ ExecResult VirtualSortedIndexScan(const Table& table, const Query& query,
                                   size_t index_col,
                                   const ExecOptions& opts = {});
 
-/// Source of CM lookup results for costing and execution. The executor and
-/// CmScan consume this interface so the scope of reuse is the caller's
-/// choice: CmLookupCache below shares one result per (CM, Query) within a
-/// single Execute, while the serving layer's SharedCmLookupSource
-/// (src/serve/shared_lookup_cache.h) shares results across whole query
-/// streams keyed by (CM, predicate fingerprint, CM epoch).
-class CmLookupSource {
- public:
-  virtual ~CmLookupSource() = default;
-
-  /// The lookup result for `cm` against `query`, computed or served from
-  /// whatever reuse scope the implementation provides. Returns nullptr
-  /// when the CM is inapplicable (some CM attribute is not predicated by
-  /// the query). The pointer stays valid until the source is destroyed or
-  /// reset.
-  virtual const CmLookupResult* GetOrCompute(const CorrelationMap& cm,
-                                             const Query& query) = 0;
-};
-
 /// Per-query cache of CM lookup results. The executor prices a candidate
 /// CM from the same CmLookupResult the chosen plan later executes with, so
 /// each (CM, Query) pair performs exactly one cm_lookup across costing and
@@ -140,10 +123,14 @@ class CmLookupSource {
 /// across queries is safe -- but the cache never observes maintenance, so
 /// do not reuse it across CM updates (the serving layer's epoch-keyed
 /// SharedLookupCache covers that case).
-class CmLookupCache : public CmLookupSource {
+class CmLookupCache {
  public:
+  /// The lookup result for `cm` against `query`, computed on first use.
+  /// Returns nullptr when the CM is inapplicable (some CM attribute is not
+  /// predicated by the query). The pointer stays valid for the cache's
+  /// lifetime.
   const CmLookupResult* GetOrCompute(const CorrelationMap& cm,
-                                     const Query& query) override;
+                                     const Query& query);
 
  private:
   struct EntryKey {
@@ -163,19 +150,85 @@ class CmLookupCache : public CmLookupSource {
 
 /// CM-driven scan (§5.2): cm_lookup on the predicates over the CM's
 /// attributes, translate the co-occurring clustered ordinal runs to row
-/// ranges (via the CM's clustered bucketing or `cidx`), sweep, and
-/// re-filter every examined row on the full query. When `cache` is given,
-/// the lookup result is shared with (or reused from) plan costing.
+/// ranges (TranslateCmRuns), sweep, and re-filter every examined row on
+/// the full query. When `cache` is given, the lookup result is shared
+/// with (or reused from) plan costing.
 ExecResult CmScan(const Table& table, const CorrelationMap& cm,
                   const ClusteredIndex& cidx, const Query& query,
                   const ExecOptions& opts = {},
-                  CmLookupSource* cache = nullptr);
+                  CmLookupCache* cache = nullptr);
 
-/// Builds the CmColumnPredicate vector for `cm` from `query`; fails if a CM
-/// attribute has no predicate in the query (§6.2.1: a CM applies only when
-/// its attributes are predicated).
+/// Compiles the CmColumnPredicate vector over `u_cols` (a CM's attributes,
+/// in order) from `query`; false when some attribute has no predicate
+/// (§6.2.1: a CM applies only when its attributes are predicated), with
+/// `out` holding the predicates of the attributes before it.
+bool CompileCmPredicates(std::span<const size_t> u_cols, const Query& query,
+                         std::vector<CmColumnPredicate>* out);
+
+/// CompileCmPredicates for `cm`, naming the unpredicated attribute in the
+/// error.
 Result<std::vector<CmColumnPredicate>> CmPredicatesFor(
     const CorrelationMap& cm, const Query& query);
+
+/// Clustered row ranges one CM lookup covers, and the index descents
+/// executing it pays -- the one translation the offline CmScan and the
+/// serving engine's CM arm share.
+struct CmRowRanges {
+  /// Non-empty ranges, each clamped to the translation's `clamp_end`,
+  /// sorted by first row.
+  std::vector<RowRange> ranges;
+  /// Heap page each clustered-index descent lands on (the leaf proxy
+  /// buffer-pool pricing touches): one per ordinal run for raw-key
+  /// ordinals (each run is one range probe), one for the whole sorted set
+  /// when the CM is c-bucketed (bucket ids resolve positionally) -- what
+  /// CmProbeCostMs prices. A raw-key run whose rows all lie past the
+  /// clamp lands nowhere and adds none.
+  std::vector<PageNo> leaves;
+};
+
+/// Translates `res` -- a lookup on a CM with options `cm` over `table`,
+/// whose clustered column `cidx` indexes -- to row ranges clamped to
+/// `clamp_end` (the serving clustered boundary; the clustered index closes
+/// its last key's range at the live row count, which may include an
+/// unclustered tail).
+CmRowRanges TranslateCmRuns(const Table& table, const ClusteredIndex& cidx,
+                            const CmOptions& cm, const CmLookupResult& res,
+                            RowId clamp_end = ~RowId{0});
+
+/// The secondary-index rids `pred` (a predicate on the index's first
+/// column) selects, in index order: one range probe for a range predicate,
+/// one prefix probe per point otherwise (`*n_probes` says how many).
+/// Integral columns round a range inward (ceil lo, floor hi), so a
+/// fractional endpoint never widens the probe; infinite endpoints
+/// saturate (Column::EncodeKey).
+std::vector<RowId> SecondaryIndexRids(const Table& table,
+                                      const SecondaryIndex& index,
+                                      const Predicate& pred,
+                                      size_t* n_probes);
+
+/// What one row-filter sweep saw.
+struct RowFilterCounts {
+  uint64_t examined = 0;  ///< rows read, tombstoned ones included
+  uint64_t dead = 0;      ///< tombstoned rows skipped
+  uint64_t matches = 0;   ///< live rows satisfying the query
+};
+
+/// THE row filter over a row range, shared by every access path: counts
+/// each row of [range.begin, range.end) as examined, skips tombstones, and
+/// evaluates `query` on the rest. Matching rows are appended to `*matches`
+/// and the heap pages the range covers (ascending, one entry per page) to
+/// `*pages`, each only when non-null.
+void FilterRowRange(const Table& table, const Query& query, RowRange range,
+                    RowFilterCounts* counts,
+                    std::vector<RowId>* matches = nullptr,
+                    std::vector<PageNo>* pages = nullptr);
+
+/// The same filter over an explicit rid list, in list order; `*pages`
+/// gets the page of every rid (duplicates included).
+void FilterRidList(const Table& table, const Query& query,
+                   std::span<const RowId> rids, RowFilterCounts* counts,
+                   std::vector<RowId>* matches = nullptr,
+                   std::vector<PageNo>* pages = nullptr);
 
 }  // namespace corrmap
 

@@ -59,16 +59,12 @@ double Executor::EstimateSortedIndexMs(const SecondaryIndex& index,
   return cost_model_.SortedCost(in);
 }
 
-ExecutorResult Executor::Execute(const Query& query) const {
-  // The overload's fallback cache gives the one-lookup-per-(CM, Query)
-  // scope: costing fills it, execution reuses it.
-  return Execute(query, nullptr);
+PlanSet Executor::Plan(const Query& query) const {
+  CmLookupCache lookups;
+  return PlanWith(query, &lookups);
 }
 
-PlanSet Executor::Plan(const Query& query, CmLookupSource* cm_lookups) const {
-  CmLookupCache local;
-  if (cm_lookups == nullptr) cm_lookups = &local;
-
+PlanSet Executor::PlanWith(const Query& query, CmLookupCache* lookups) const {
   PlanContext ctx;
   ctx.table = table_;
   ctx.cidx = cidx_;
@@ -95,10 +91,10 @@ PlanSet Executor::Plan(const Query& query, CmLookupSource* cm_lookups) const {
   }
 
   // Every CM candidate is costed from the lookup CmScan would execute
-  // with, via the shared source: one cm_lookup per (CM, Query).
+  // with, via the shared cache: one cm_lookup per (CM, Query).
   std::vector<CmPlanView> views(cms_.size());
   for (size_t i = 0; i < cms_.size(); ++i) {
-    views[i].lookup = cm_lookups->GetOrCompute(*cms_[i], query);
+    views[i].lookup = lookups->GetOrCompute(*cms_[i], query);
     views[i].c_buckets = cms_[i]->options().c_buckets;
     views[i].num_ukeys = cms_[i]->NumUKeys();
     views[i].name = cms_[i]->Name();
@@ -106,13 +102,12 @@ PlanSet Executor::Plan(const Query& query, CmLookupSource* cm_lookups) const {
   return ChooseAccessPlan(ctx, query, views, extras);
 }
 
-ExecutorResult Executor::Execute(const Query& query,
-                                 CmLookupSource* cm_lookups) const {
-  CmLookupCache local;
-  if (cm_lookups == nullptr) cm_lookups = &local;
+ExecutorResult Executor::Execute(const Query& query) const {
+  // Costing fills the cache, execution reuses it.
+  CmLookupCache lookups;
   ExecutorResult out;
 
-  const PlanSet plans = Plan(query, cm_lookups);
+  const PlanSet plans = PlanWith(query, &lookups);
   out.candidates.reserve(plans.candidates.size());
   for (const PlanCandidate& c : plans.candidates) {
     out.candidates.push_back({c.description, c.est_ms, c.chosen});
@@ -132,7 +127,7 @@ ExecutorResult Executor::Execute(const Query& query,
       break;
     case PlanKind::kCmProbe:
       out.result = CmScan(*table_, *cms_[win.slot], *cidx_, query,
-                          exec_options_, cm_lookups);
+                          exec_options_, &lookups);
       break;
   }
   return out;

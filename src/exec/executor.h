@@ -50,20 +50,13 @@ class Executor {
   /// (CM, Query) pair performs exactly one cm_lookup.
   ExecutorResult Execute(const Query& query) const;
 
-  /// Same, but CM lookup results flow through the caller-provided source
-  /// (nullptr falls back to a fresh per-query cache). Passing a
-  /// serving-layer shared cache (serve::SharedCmLookupSource) lets a
-  /// stream of similar queries reuse CmLookupResult runs across whole
-  /// Execute calls, invalidated by CM epoch changes.
-  ExecutorResult Execute(const Query& query, CmLookupSource* cm_lookups) const;
-
   /// Costs only -- the deliberation Execute would run, without executing
   /// the winner. Candidate enumeration, costing, and the choice itself are
   /// delegated to exec/plan_choice.h, the same arbiter the serving engine
   /// consults, so offline and serving decisions over identical snapshots
   /// (ExecOptions::clustered_boundary + residency fields) agree by
   /// construction -- the plan-parity tests hold both to this.
-  PlanSet Plan(const Query& query, CmLookupSource* cm_lookups) const;
+  PlanSet Plan(const Query& query) const;
 
   /// Cost estimate for answering `query` by full scan.
   double EstimateScanMs() const;
@@ -71,6 +64,9 @@ class Executor {
  private:
   double EstimateSortedIndexMs(const SecondaryIndex& index,
                                const Query& query) const;
+  /// Plan with CM lookups drawn from (and left in) `lookups`, so Execute
+  /// runs the winner on the lookup costing used.
+  PlanSet PlanWith(const Query& query, CmLookupCache* lookups) const;
 
   const Table* table_;
   const ClusteredIndex* cidx_;

@@ -229,11 +229,6 @@ PlanSet ChooseAccessPlan(const PlanContext& ctx, const Query& query,
     }
   }
   out.candidates[out.chosen].chosen = true;
-  // The winner's estimate draws down the scatter's shared allowance; the
-  // check side lives in the serving engine's pre-deliberation gate.
-  if (ctx.budget != nullptr) {
-    ctx.budget->Charge(out.candidates[out.chosen].est_ms);
-  }
   return out;
 }
 

@@ -5,20 +5,20 @@
 // costed with the §3/§4 model extended with buffer-pool residency
 // calibration (CostInputs::heap_residency / index_residency): a hot
 // clustered range is priced near CPU cost instead of cold I/O, which is
-// exactly the Fig. 9 mixed-workload gap the first-match policy left open.
+// exactly the Fig. 9 mixed-workload gap.
 //
 // The snapshot is described by PlanContext: table, clustered index, the
 // clustered boundary (rows beyond it live in an unclustered serving tail
 // that every non-scan plan must sweep), and the residency fractions the
 // storage layer published. CM candidates are passed as CmPlanViews -- a
-// view over any CM implementation (single CorrelationMap or sharded
-// serving CM) carrying the already-computed CmLookupResult, so costing
-// never triggers a second cm_lookup (the caller's lookup cache feeds
-// costing and execution with one lookup per (CM, predicate, epoch)).
+// view over any CM implementation (CorrelationMap or the serving
+// layer's concurrent wrapper) carrying the already-computed
+// CmLookupResult, so costing never triggers a second cm_lookup (the
+// caller's lookup cache feeds costing and execution with one lookup per
+// (CM, predicate, epoch)).
 #ifndef CORRMAP_EXEC_PLAN_CHOICE_H_
 #define CORRMAP_EXEC_PLAN_CHOICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -71,37 +71,6 @@ struct CmPlanView {
   std::span<const RowRange> row_ranges{};
 };
 
-/// Shared estimated-cost allowance for one multi-shard scatter
-/// (serve::ShardRouter): every visited shard charges its chosen plan's
-/// estimate against the same budget, and a shard whose cheapest CM-free
-/// candidate already exceeds what is left skips CM/sorted-index
-/// deliberation and runs that cheap plan. The budget is a performance
-/// governor, not a correctness gate -- every plan returns exact results --
-/// so charges use relaxed atomics and concurrently racing shards may
-/// mildly overshoot the allowance.
-class CostBudget {
- public:
-  explicit CostBudget(double total_ms) : remaining_ms_(total_ms) {}
-
-  bool CanAfford(double est_ms) const {
-    return remaining_ms_.load(std::memory_order_relaxed) >= est_ms;
-  }
-
-  void Charge(double est_ms) {
-    double cur = remaining_ms_.load(std::memory_order_relaxed);
-    while (!remaining_ms_.compare_exchange_weak(cur, cur - est_ms,
-                                                std::memory_order_relaxed)) {
-    }
-  }
-
-  double remaining_ms() const {
-    return remaining_ms_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> remaining_ms_;
-};
-
 /// The snapshot plans are costed against. For an offline, fully clustered
 /// table leave clustered_boundary at its no-tail default (any value
 /// >= n_rows means no tail term) and the residency fractions at 0 (the
@@ -133,10 +102,6 @@ struct PlanContext {
   /// before deletes existed.
   size_t num_deleted = 0;
   const CostModel* cost_model = nullptr;
-  /// When non-null, ChooseAccessPlan charges the winning candidate's
-  /// estimate against this cross-shard scatter budget. Null (the default)
-  /// keeps planning budget-free.
-  CostBudget* budget = nullptr;
 };
 
 /// Outcome: every enumerated candidate (estimates filled, exactly one

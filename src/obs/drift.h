@@ -51,8 +51,8 @@ class DriftTracker {
     std::array<KindDrift, kNumKinds> lifetime;
   };
 
-  /// Accumulates one cost-based select. Callers skip selects without a
-  /// real estimate (first-match mode never costs).
+  /// Accumulates one deliberated select. Callers skip selects without a
+  /// positive estimate.
   void Record(PlanKind kind, double est_ms, double actual_ms);
 
   /// Closes the current window into `previous` and starts a fresh one

@@ -86,8 +86,6 @@ ServingMetrics::ServingMetrics(ServingMetricsOptions opts)
   router_cm_pruned = registry_.counter("router_cm_pruned_selects_total");
   router_clustered_routed =
       registry_.counter("router_clustered_routed_selects_total");
-  router_budget_degraded =
-      registry_.counter("router_budget_degraded_visits_total");
   router_shard_visit_us = registry_.histogram("router_shard_visit_us");
   router_scatter_fanout = registry_.gauge("router_scatter_fanout");
   // Lifetime drift ratios join every registry export as callback gauges
@@ -108,7 +106,7 @@ void ServingMetrics::RecordSelect(const SelectTrace& t) {
   tail_rows_swept->Add(t.tail_rows_swept);
   (t.cache_hit ? cache_hit_selects : cache_miss_selects)->Increment();
   select_actual_ms->Record(t.actual_ms);
-  if (t.cost_based && t.est_ms > 0) {
+  if (t.est_ms > 0) {
     select_est_ms->Record(t.est_ms);
     drift_.Record(t.plan_kind, t.est_ms, t.actual_ms);
   }
@@ -120,7 +118,6 @@ void ServingMetrics::RecordRoutedSelect(const SelectTrace& t) {
   router_selects->Increment();
   router_shards_visited->Add(t.shards_visited);
   router_shards_pruned->Add(t.shards_pruned);
-  if (t.shards_degraded > 0) router_budget_degraded->Add(t.shards_degraded);
   router_scatter_fanout->Set(double(t.shards_visited));
   traces_.Push(t);
   slow_.Offer(t);
@@ -166,7 +163,6 @@ std::string ServingMetrics::ToJson() const {
       out += ", \"sum_est_ms\": " + FormatDouble(t.sum_est_ms);
       out += ", \"sum_actual_ms\": " + FormatDouble(t.sum_actual_ms);
       out += ", \"cache_hit_shards\": " + std::to_string(t.cache_hit_shards);
-      out += ", \"shards_degraded\": " + std::to_string(t.shards_degraded);
       out += ", \"shard_actual_ms\": [";
       for (uint32_t i = 0; i < t.num_shard_actuals; ++i) {
         if (i > 0) out += ", ";

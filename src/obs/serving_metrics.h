@@ -106,9 +106,6 @@ class ServingMetrics {
   Counter* router_shards_pruned;
   Counter* router_cm_pruned;
   Counter* router_clustered_routed;
-  /// Shard visits that degraded to their cheap plan because the scatter's
-  /// cross-shard deliberation budget was exhausted.
-  Counter* router_budget_degraded;
   /// Wall time of one shard's routed select (per visit, both scatter
   /// modes) -- under parallel scatter the merged trace's actual_ms tracks
   /// the max of these, this histogram keeps the distribution.

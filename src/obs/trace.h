@@ -48,10 +48,9 @@ struct SelectTrace {
   uint64_t fingerprint = 0;  ///< FingerprintQuery of the predicate set
   uint64_t epoch = 0;        ///< recluster epoch that served it
   PlanKind plan_kind = PlanKind::kSeqScan;
-  bool cost_based = false;  ///< deliberated (est_ms meaningful) vs first-match
-  bool cache_hit = false;   ///< chosen CM's lookup came from the shared cache
+  bool cache_hit = false;  ///< chosen CM's lookup came from the shared cache
   bool from_router = false;
-  double est_ms = 0;     ///< chosen plan's estimate (0 under first-match)
+  double est_ms = 0;     ///< chosen plan's estimate
   double actual_ms = 0;  ///< simulated cost actually charged
   uint64_t num_matches = 0;
   uint64_t rows_examined = 0;
@@ -72,7 +71,6 @@ struct SelectTrace {
   double sum_est_ms = 0;
   double sum_actual_ms = 0;
   uint32_t cache_hit_shards = 0;
-  uint32_t shards_degraded = 0;  ///< shards the scatter budget degraded
   /// Per-shard actual costs, in ascending order of the visited shard
   /// indexes; shards_visited still reports the true count when it
   /// overflows the cap.

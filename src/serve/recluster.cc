@@ -168,10 +168,9 @@ Result<ReclusterStats> Reclusterer::Run() {
     if (!built.ok()) return built.status();
     auto cb = std::make_unique<ClusteredBucketing>(std::move(*built));
     opts.c_buckets = cb.get();
-    auto scm = ShardedCorrelationMap::Create(next->table, opts,
-                                            e.options_.num_cm_shards);
-    if (!scm.ok()) return scm.status();
-    auto owned = std::make_unique<ShardedCorrelationMap>(std::move(*scm));
+    auto cm = ConcurrentCorrelationMap::Create(next->table, opts);
+    if (!cm.ok()) return cm.status();
+    auto owned = std::make_unique<ConcurrentCorrelationMap>(std::move(*cm));
     Status s = owned->BuildFromTable(size_t(next->clustered_boundary));
     if (!s.ok()) return s;
     next->cms.push_back(std::move(owned));
@@ -211,7 +210,7 @@ Result<ReclusterStats> Reclusterer::Run() {
     // the delete replay below -- so both loops skip the copied slots.
     for (size_t i = 0; i < old->cms.size(); ++i) {
       if (next->cms[i] != nullptr) continue;
-      next->cms[i] = std::make_unique<ShardedCorrelationMap>(
+      next->cms[i] = std::make_unique<ConcurrentCorrelationMap>(
           old->cms[i]->CloneRetargeted(next->table));
       ++stats.cms_snapshot_copied;
     }
@@ -249,13 +248,13 @@ Result<ReclusterStats> Reclusterer::Run() {
       if (next->table->IsDeleted(nr)) continue;
       Status ds = next->table->DeleteRow(nr);
       if (!ds.ok()) return ds;
-      for (const auto& scm : next->cms) {
+      for (const auto& cm : next->cms) {
         // Snapshot-copied (unbucketed) maps already retracted this delete
         // in the predecessor before this lock was taken; only the rebuilt
         // c-bucketed maps -- which cover [0, boundary) -- need the replay.
-        if (!scm->has_clustered_buckets()) continue;
+        if (!cm->has_clustered_buckets()) continue;
         if (nr >= next->clustered_boundary) continue;
-        Status cs = scm->DeleteRow(nr);
+        Status cs = cm->DeleteRow(nr);
         if (!cs.ok()) return cs;
       }
     }

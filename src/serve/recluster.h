@@ -11,7 +11,7 @@
 //   already sorted; the tail is sorted and the two runs merged in place),
 //   deep-copy the table in merged order (dictionaries preserved, so
 //   physical keys keep their codes), patch the ClusteredIndex boundaries
-//   from the old index + the sorted tail keys, and rebuild the sharded
+//   from the old index + the sorted tail keys, and rebuild the c-bucketed
 //   CMs against the successor table. Appends racing this phase keep
 //   landing in the predecessor's tail beyond n0.
 //

@@ -10,7 +10,6 @@ ServingEngine::ServingEngine(Table* table, const ClusteredIndex* cidx,
     : options_(options),
       recluster_tail_rows_(options.recluster_tail_rows),
       compact_deleted_fraction_(options.compact_deleted_fraction),
-      plan_choice_(options.plan_choice),
       cost_model_(options.disk) {
   assert(table->clustered_column() == int(cidx->column()) &&
          "table must be clustered with cidx built over the clustered column");
@@ -122,10 +121,9 @@ Status ServingEngine::AttachCm(CmOptions cm_options) {
     owned_cb = std::make_unique<ClusteredBucketing>(*cm_options.c_buckets);
     cm_options.c_buckets = owned_cb.get();
   }
-  auto scm = ShardedCorrelationMap::Create(st->table, cm_options,
-                                           options_.num_cm_shards);
-  if (!scm.ok()) return scm.status();
-  auto owned = std::make_unique<ShardedCorrelationMap>(std::move(*scm));
+  auto cm = ConcurrentCorrelationMap::Create(st->table, cm_options);
+  if (!cm.ok()) return cm.status();
+  auto owned = std::make_unique<ConcurrentCorrelationMap>(std::move(*cm));
   // A c-bucketed CM covers exactly the clustered region: positional
   // bucket ids do not extend into the tail, whose rows the sweep serves.
   const size_t build_limit = cm_options.c_buckets != nullptr
@@ -163,25 +161,6 @@ Status ServingEngine::AttachSecondaryIndex(std::vector<size_t> columns) {
   st->sidx.push_back(std::move(idx));
   st->sidx_files.push_back(pool_ != nullptr ? pool_->RegisterFile() : 0);
   return Status::OK();
-}
-
-bool ServingEngine::CompilePredicates(const ShardedCorrelationMap& scm,
-                                      const Query& query,
-                                      std::vector<CmColumnPredicate>* out) {
-  out->clear();
-  for (size_t ucol : scm.options().u_cols) {
-    const Predicate* found = nullptr;
-    for (const Predicate& p : query.predicates()) {
-      if (p.column() == ucol) found = &p;
-    }
-    if (found == nullptr) return false;
-    if (found->op() == Predicate::Op::kRange) {
-      out->push_back(CmColumnPredicate::Range(found->lo(), found->hi()));
-    } else {
-      out->push_back(CmColumnPredicate::Points(found->keys()));
-    }
-  }
-  return true;
 }
 
 void ServingEngine::InitEpochCalibration(EpochState* st) const {
@@ -295,100 +274,40 @@ double ServingEngine::ChargeDescentsOf(uint32_t file, size_t height,
   return ms;
 }
 
-void ServingEngine::ResolveCmLookups(
-    const EpochState& st, const Query& query, bool first_match_only,
-    std::vector<CmPlanView>* views,
-    std::vector<SharedLookupCache::ResultPtr>* pinned,
-    std::vector<uint8_t>* cache_hits) const {
-  views->assign(st.cms.size(), CmPlanView{});
-  pinned->assign(st.cms.size(), nullptr);
-  cache_hits->assign(st.cms.size(), 0);
-  std::vector<CmColumnPredicate> preds;
-  for (size_t i = 0; i < st.cms.size(); ++i) {
-    const ShardedCorrelationMap& scm = *st.cms[i];
-    if (!CompilePredicates(scm, query, &preds)) continue;
-    // Cross-query reuse keyed (stable CM slot, predicate fingerprint,
-    // epoch). The slot tag outlives recluster swaps while the successor
-    // CM's epoch is raised above its predecessor's, so entries computed
-    // before a swap compare stale and are lazily evicted. A result
-    // computed while maintenance interleaved (epoch moved) is used once
-    // but never published.
-    const void* slot = cm_slot_tags_[i].get();
-    const uint64_t fp = SharedLookupCache::Fingerprint(preds);
-    const uint64_t epoch = scm.Epoch();
-    SharedLookupCache::ResultPtr res = cache_->Get(slot, fp, epoch);
-    (*cache_hits)[i] = res != nullptr ? 1 : 0;
-    if (res == nullptr) {
-      auto computed =
-          std::make_shared<const CmLookupResult>(scm.Lookup(preds));
-      if (scm.Epoch() == epoch) cache_->Put(slot, fp, epoch, computed);
-      res = std::move(computed);
-    }
-    (*pinned)[i] = std::move(res);
-    (*views)[i] = scm.PlanView((*pinned)[i].get());
-    if (first_match_only) return;
+SharedLookupCache::ResultPtr ServingEngine::LookupThroughCache(
+    const EpochState& st, size_t slot,
+    std::span<const CmColumnPredicate> preds, bool* hit) const {
+  // Cross-query reuse keyed (stable CM slot, predicate fingerprint,
+  // epoch). The slot tag outlives recluster swaps while the successor
+  // CM's epoch is raised above its predecessor's, so entries computed
+  // before a swap compare stale and are lazily evicted. A result computed
+  // while maintenance interleaved (epoch moved) is used once but never
+  // published.
+  const ConcurrentCorrelationMap& cm = *st.cms[slot];
+  const void* tag = cm_slot_tags_[slot].get();
+  const uint64_t fp = SharedLookupCache::Fingerprint(preds);
+  const uint64_t epoch = cm.Epoch();
+  SharedLookupCache::ResultPtr res = cache_->Get(tag, fp, epoch);
+  *hit = res != nullptr;
+  if (res == nullptr) {
+    res = std::make_shared<const CmLookupResult>(cm.Lookup(preds));
+    if (cm.Epoch() == epoch) cache_->Put(tag, fp, epoch, res);
   }
-}
-
-void ServingEngine::TranslateCmRuns(const EpochState& st, size_t slot,
-                                    const CmLookupResult& res, RowId boundary,
-                                    std::vector<RowRange>* ranges,
-                                    std::vector<PageNo>* leaves) {
-  const ShardedCorrelationMap& scm = *st.cms[slot];
-  const Table& table = *st.table;
-  const ClusteredBucketing* cb = scm.options().c_buckets;
-  ranges->clear();
-  leaves->clear();
-  ranges->reserve(res.ranges.size());
-  for (const OrdinalRange& r : res.ranges) {
-    RowRange range =
-        cb != nullptr
-            ? cb->RangeOfBucketRun(r.lo, r.hi)
-            : st.cidx->LookupRange(scm.DecodeClusteredOrdinal(r.lo),
-                                   scm.DecodeClusteredOrdinal(r.hi));
-    // The clustered index closes its last key's range at the table's live
-    // row count, which may include the unclustered tail; clamp so tail
-    // rows are examined exactly once (by the tail sweep).
-    range.end = std::min(range.end, boundary);
-    if (!range.empty()) {
-      leaves->push_back(table.layout().PageOfRow(range.begin));
-      ranges->push_back(range);
-    }
-  }
-  std::sort(ranges->begin(), ranges->end(),
-            [](const RowRange& a, const RowRange& b) {
-              return a.begin < b.begin;
-            });
+  return res;
 }
 
 void ServingEngine::ResolveSidxPlans(const EpochState& st, const Query& query,
-                                     uint64_t run_gap,
                                      std::vector<SidxPlan>* plans) const {
   plans->clear();
   const Table& table = *st.table;
   for (size_t i = 0; i < st.sidx.size(); ++i) {
     const SecondaryIndex& idx = *st.sidx[i];
-    const size_t lead = idx.columns().front();
-    const Predicate* pred = FindPredicateOn(query, lead);
+    const Predicate* pred = FindPredicateOn(query, idx.columns().front());
     if (pred == nullptr) continue;  // composite prefix unpredicated
     SidxPlan plan;
     plan.slot = i;
-    const auto& col = table.column(lead);
-    if (pred->op() == Predicate::Op::kRange) {
-      CompositeKey lo, hi;
-      lo.Append(col.EncodeKey(Value(pred->lo())));
-      hi.Append(col.EncodeKey(Value(pred->hi())));
-      plan.rids = idx.LookupRange(lo, hi);
-      plan.n_probes = 1;
-    } else {
-      for (const Key& k : pred->keys()) {
-        CompositeKey ck;
-        ck.Append(k);
-        const std::vector<RowId> part = idx.LookupRange(ck, ck);
-        plan.rids.insert(plan.rids.end(), part.begin(), part.end());
-      }
-      plan.n_probes = std::max<size_t>(pred->keys().size(), 1);
-    }
+    plan.rids = SecondaryIndexRids(table, idx, *pred, &plan.n_probes);
+    plan.n_probes = std::max<size_t>(plan.n_probes, 1);
     // The per-epoch index covers [0, boundary) as built; drop rows
     // tombstoned since so costing prices the live rid set the execution
     // will sweep (execution still re-filters -- a delete can land between
@@ -400,259 +319,144 @@ void ServingEngine::ResolveSidxPlans(const EpochState& st, const Query& query,
     std::vector<PageNo> pages;
     pages.reserve(plan.rids.size());
     for (const RowId r : plan.rids) pages.push_back(table.layout().PageOfRow(r));
-    plan.runs = ExtractRuns(std::move(pages), run_gap);
+    plan.runs = ExtractRuns(std::move(pages), RunGap());
     plans->push_back(std::move(plan));
   }
 }
 
-PlanSet ServingEngine::Deliberate(const EpochState& st, const Query& query,
-                                  const PlanCalibration& calib, uint64_t gap,
-                                  std::vector<CmPlanView>* views,
-                                  std::vector<std::vector<RowRange>>* cm_ranges,
-                                  std::vector<std::vector<PageNo>>* cm_leaves,
-                                  std::vector<SidxPlan>* sidx_plans,
-                                  CostBudget* budget) const {
+ServingEngine::SelectPlan ServingEngine::Deliberate(const EpochState& st,
+                                                    const Query& query) const {
+  SelectPlan plan;
+  plan.calib = CalibrationOf(st);
+  plan.n_rows = st.table->NumRows();
   PlanContext ctx;
-  ctx.budget = budget;
   ctx.table = st.table;
   ctx.cidx = st.cidx;
   ctx.clustered_boundary = st.clustered_boundary;
-  ctx.n_rows = st.table->NumRows();
-  ctx.heap_residency = calib.heap_residency;
-  ctx.cidx_residency = calib.cidx_residency;
-  ctx.heap_extent_residency = calib.heap_extents;
+  ctx.n_rows = plan.n_rows;
+  ctx.heap_residency = plan.calib.heap_residency;
+  ctx.cidx_residency = plan.calib.cidx_residency;
+  ctx.heap_extent_residency = plan.calib.heap_extents;
   ctx.heap_extent_pages = BufferPool::kExtentPages;
   ctx.num_deleted = st.table->NumDeleted();
   ctx.cost_model = &cost_model_;
-  // Pre-translate every applicable CM's ordinal runs: the row ranges feed
-  // the extent-granular residency refinement now and the winner's
-  // execution sweep later (one translation per select).
-  cm_ranges->assign(views->size(), {});
-  cm_leaves->assign(views->size(), {});
-  for (size_t i = 0; i < views->size(); ++i) {
-    CmPlanView& view = (*views)[i];
-    if (view.lookup == nullptr || view.lookup->empty()) continue;
-    TranslateCmRuns(st, i, *view.lookup, st.clustered_boundary,
-                    &(*cm_ranges)[i], &(*cm_leaves)[i]);
-    view.row_ranges = (*cm_ranges)[i];
+
+  // Every applicable CM: its lookup, and the translation of its runs to
+  // clustered row ranges -- priced now, swept later if it wins.
+  const size_t n_cms = st.cms.size();
+  plan.views.assign(n_cms, CmPlanView{});
+  plan.lookups.assign(n_cms, nullptr);
+  plan.cache_hits.assign(n_cms, 0);
+  plan.cm_ranges.assign(n_cms, CmRowRanges{});
+  std::vector<CmColumnPredicate> preds;
+  for (size_t i = 0; i < n_cms; ++i) {
+    const ConcurrentCorrelationMap& cm = *st.cms[i];
+    if (!CompileCmPredicates(cm.options().u_cols, query, &preds)) continue;
+    bool hit = false;
+    plan.lookups[i] = LookupThroughCache(st, i, preds, &hit);
+    plan.cache_hits[i] = hit ? 1 : 0;
+    CmPlanView& view = plan.views[i];
+    view = cm.PlanView(plan.lookups[i].get());
+    if (view.lookup->empty()) continue;
+    plan.cm_ranges[i] = TranslateCmRuns(*st.table, *st.cidx, cm.options(),
+                                        *view.lookup, st.clustered_boundary);
+    view.row_ranges = plan.cm_ranges[i].ranges;
   }
+
   // Sorted-index candidates: exact rid sets priced with the same shared
   // enumeration the Executor uses for its caller-priced extras.
-  ResolveSidxPlans(st, query, gap, sidx_plans);
+  ResolveSidxPlans(st, query, &plan.sidx_plans);
   std::vector<PlanCandidate> extras;
-  extras.reserve(sidx_plans->size());
-  for (const SidxPlan& plan : *sidx_plans) {
-    const SecondaryIndex& idx = *st.sidx[plan.slot];
-    const double sidx_res = plan.slot < calib.sidx_residency.size()
-                                ? calib.sidx_residency[plan.slot]
+  extras.reserve(plan.sidx_plans.size());
+  for (const SidxPlan& sp : plan.sidx_plans) {
+    const SecondaryIndex& idx = *st.sidx[sp.slot];
+    const double sidx_res = sp.slot < plan.calib.sidx_residency.size()
+                                ? plan.calib.sidx_residency[sp.slot]
                                 : 0.0;
     extras.push_back({PlanKind::kSortedIndex,
                       "sorted_index_scan(" + idx.Name() + ")",
-                      SortedIndexCostMs(ctx, plan.runs, plan.rids.size(),
-                                        plan.n_probes, idx.Height(), sidx_res),
-                      plan.slot, false});
+                      SortedIndexCostMs(ctx, sp.runs, sp.rids.size(),
+                                        sp.n_probes, idx.Height(), sidx_res),
+                      sp.slot, false});
   }
-  return ChooseAccessPlan(ctx, query, *views, extras);
+  plan.plans = ChooseAccessPlan(ctx, query, plan.views, extras);
+  return plan;
 }
 
 PlanSet ServingEngine::PlanSelect(const Query& query) const {
-  const std::shared_ptr<EpochState> st = CurrentState();
-  std::vector<CmPlanView> views;
-  std::vector<SharedLookupCache::ResultPtr> pinned;
-  std::vector<uint8_t> hits;
-  ResolveCmLookups(*st, query, /*first_match_only=*/false, &views, &pinned,
-                   &hits);
-  const PlanCalibration calib = CalibrationOf(*st);
-  const uint64_t gap =
-      uint64_t(options_.disk.seek_ms() / options_.disk.seq_page_ms());
-  std::vector<std::vector<RowRange>> cm_ranges;
-  std::vector<std::vector<PageNo>> cm_leaves;
-  std::vector<SidxPlan> sidx_plans;
-  return Deliberate(*st, query, calib, gap, &views, &cm_ranges, &cm_leaves,
-                    &sidx_plans);
+  return Deliberate(*CurrentState(), query).plans;
 }
 
 bool ServingEngine::CanSkipForQuery(const Query& query,
                                     bool* applicable) const {
   *applicable = false;
   const std::shared_ptr<EpochState> st = CurrentState();
-  std::vector<CmPlanView> views;
-  std::vector<SharedLookupCache::ResultPtr> pinned;
-  std::vector<uint8_t> hits;
-  ResolveCmLookups(*st, query, /*first_match_only=*/true, &views, &pinned,
-                   &hits);
-  for (const CmPlanView& view : views) {
-    if (view.lookup == nullptr) continue;
+  std::vector<CmColumnPredicate> preds;
+  for (size_t i = 0; i < st->cms.size(); ++i) {
+    if (!CompileCmPredicates(st->cms[i]->options().u_cols, query, &preds)) {
+      continue;
+    }
+    // The first applicable CM decides.
     *applicable = true;
+    bool hit = false;
+    const SharedLookupCache::ResultPtr res =
+        LookupThroughCache(*st, i, preds, &hit);
     // Conservative on two counts: the tail must be empty (a tail row may
     // match before its CM entries land -- or ever, for c-bucketed CMs),
     // and the CM may only over-cover (tombstone-first deletes), so an
     // empty lookup proves an empty answer.
     const bool tail_empty =
         st->clustered_boundary >= RowId(st->table->NumRows());
-    return tail_empty && view.lookup->empty();
+    return tail_empty && res->empty();
   }
   return false;
 }
 
-SelectResult ServingEngine::ExecuteSelect(const Query& query,
-                                          CostBudget* budget) const {
-  SelectResult out;
+SelectResult ServingEngine::ExecuteSelect(const Query& query) const {
   // Pin one epoch for the whole select: table, clustered index, boundary,
   // CM set, and calibration inputs stay mutually consistent even if a
   // recluster swaps the engine to a successor mid-flight.
   const std::shared_ptr<EpochState> st = CurrentState();
-  out.recluster_epoch = st->version;
-  const Table& table = *st->table;
-  // Snapshot the published row count once: everything below this row is
-  // fully written (release/acquire pairing with the append path).
-  const size_t n_rows = table.NumRows();
-  const RowId boundary = st->clustered_boundary;
-  const uint64_t gap =
-      uint64_t(options_.disk.seek_ms() / options_.disk.seq_page_ms());
+  const SelectPlan plan = Deliberate(*st, query);
+  const SelectResult out = ExecutePlan(*st, query, plan);
+  RecordSelect(*st, query, plan, out);
+  return out;
+}
 
-  const PlanCalibration calib = CalibrationOf(*st);
-  out.heap_residency = calib.heap_residency;
-  out.cidx_residency = calib.cidx_residency;
-
-  const ServingOptions::PlanChoice mode =
-      plan_choice_.load(std::memory_order_relaxed);
-
-  // ---- Deliberate. Cost-based: every candidate priced by the shared
-  // plan enumeration at this epoch's calibration. First-match: the first
-  // applicable CM, else a scan (the legacy policy, kept for A/B).
-  PlanKind kind = PlanKind::kSeqScan;
-  size_t cm_slot = SelectResult::kNoCmSlot;
-  size_t sidx_slot = SelectResult::kNoCmSlot;
-  std::vector<CmPlanView> views;
-  std::vector<SharedLookupCache::ResultPtr> pinned;
-  std::vector<uint8_t> hits;
-  std::vector<std::vector<RowRange>> cm_ranges;
-  std::vector<std::vector<PageNo>> cm_leaves;
-  std::vector<SidxPlan> sidx_plans;
-  obs::SelectTrace trace;  // filled only when metrics_ is attached
-
-  // Cross-shard scatter budget gate, checked BEFORE any CM lookup or
-  // sorted-index resolution: when the cheapest CM-free candidate alone
-  // already exceeds the scatter's remaining allowance, deliberation is
-  // pure overhead -- run that cheap plan directly. Results stay exact
-  // (every plan re-filters the same rows); only plan quality degrades.
-  bool degraded = false;
-  if (budget != nullptr && mode == ServingOptions::PlanChoice::kCostBased) {
-    PlanContext ctx;
-    ctx.table = st->table;
-    ctx.cidx = st->cidx;
-    ctx.clustered_boundary = boundary;
-    ctx.n_rows = n_rows;
-    ctx.heap_residency = calib.heap_residency;
-    ctx.cidx_residency = calib.cidx_residency;
-    ctx.heap_extent_residency = calib.heap_extents;
-    ctx.heap_extent_pages = BufferPool::kExtentPages;
-    ctx.num_deleted = st->table->NumDeleted();
-    ctx.cost_model = &cost_model_;
-    double cheap_ms = SeqScanCostMs(ctx);
-    PlanKind cheap_kind = PlanKind::kSeqScan;
-    const Predicate* cpred = FindPredicateOn(query, st->cidx->column());
-    if (cpred != nullptr) {
-      const std::vector<RowRange> cranges =
-          ClusteredRangesFor(*st->table, *st->cidx, *cpred, boundary);
-      const size_t n_probes =
-          cpred->op() == Predicate::Op::kRange ? 1 : cpred->keys().size();
-      const double cr_ms = ClusteredRangeCostMs(ctx, cranges, n_probes);
-      if (cr_ms < cheap_ms) {
-        cheap_ms = cr_ms;
-        cheap_kind = PlanKind::kClusteredRange;
-      }
-    }
-    if (!budget->CanAfford(cheap_ms)) {
-      degraded = true;
-      budget->Charge(cheap_ms);
-      kind = cheap_kind;
-      out.plan = PlanKindName(cheap_kind);
-      out.plan_est_ms = cheap_ms;
-      out.plan_candidates = cpred != nullptr ? 2 : 1;
-      out.budget_degraded = true;
-    }
+SelectResult ServingEngine::ExecutePlan(const EpochState& st,
+                                        const Query& query,
+                                        const SelectPlan& plan) const {
+  const PlanCandidate& win = plan.plans.chosen_plan();
+  SelectResult out;
+  out.recluster_epoch = st.version;
+  out.heap_residency = plan.calib.heap_residency;
+  out.cidx_residency = plan.calib.cidx_residency;
+  out.plan_kind = win.kind;
+  out.plan = win.description;
+  out.plan_est_ms = win.est_ms;
+  out.plan_candidates = plan.plans.candidates.size();
+  out.used_cm = win.kind == PlanKind::kCmProbe;
+  if (out.used_cm) {
+    out.plan_cm_slot = win.slot;
+    out.cache_hit = plan.cache_hits[win.slot] != 0;
   }
 
-  if (!degraded) {
-    ResolveCmLookups(*st, query,
-                     mode == ServingOptions::PlanChoice::kFirstMatch, &views,
-                     &pinned, &hits);
-  }
-  if (degraded) {
-    // Plan already fixed above; nothing to deliberate.
-  } else if (mode == ServingOptions::PlanChoice::kCostBased) {
-    const PlanSet plans =
-        Deliberate(*st, query, calib, gap, &views, &cm_ranges, &cm_leaves,
-                   &sidx_plans, budget);
-    const PlanCandidate& win = plans.chosen_plan();
-    kind = win.kind;
-    if (kind == PlanKind::kCmProbe) cm_slot = win.slot;
-    if (kind == PlanKind::kSortedIndex) sidx_slot = win.slot;
-    out.plan = win.description;
-    out.plan_est_ms = win.est_ms;
-    out.plan_candidates = plans.candidates.size();
-    if (metrics_ != nullptr) {
-      trace.num_candidates = uint32_t(plans.candidates.size());
-      for (const PlanCandidate& c : plans.candidates) {
-        if (trace.num_recorded == obs::kTraceCandidateCap) break;
-        trace.candidates[trace.num_recorded++] = {c.kind, uint32_t(c.slot),
-                                                  c.est_ms};
-      }
-    }
-  } else {
-    for (size_t i = 0; i < views.size(); ++i) {
-      if (views[i].lookup != nullptr) {
-        kind = PlanKind::kCmProbe;
-        cm_slot = i;
-        break;
-      }
-    }
-    out.plan = kind == PlanKind::kCmProbe
-                   ? "cm_scan(" + views[cm_slot].name + ")"
-                   : "seq_scan";
-    out.plan_candidates = 1;
-  }
-  out.plan_kind = kind;
-  out.plan_cm_slot = cm_slot;
-  out.used_cm = kind == PlanKind::kCmProbe;
-  out.cache_hit = out.used_cm && hits[cm_slot] != 0;
-
-  // ---- Execute the winner, pricing every targeted page through the
-  // buffer pool (full scans read around it and stay cold).
+  const Table& table = *st.table;
+  const size_t n_rows = plan.n_rows;
+  const RowId boundary = st.clustered_boundary;
+  RowFilterCounts counts;
   double ms = 0;
-  // Dead rows examined and skipped; priced at the tombstone CPU term so
-  // execution cost tracks the same penalty plan costing estimated.
-  uint64_t dead_examined = 0;
-  auto sweep_ranges = [&](const std::vector<RowRange>& ranges) {
+  auto sweep_ranges = [&](std::span<const RowRange> ranges) {
     std::vector<PageNo> pages;
     for (const RowRange& range : ranges) {
-      const PageNo first = table.layout().PageOfRow(range.begin);
-      const PageNo last = table.layout().PageOfRow(range.end - 1);
-      for (PageNo p = first; p <= last; ++p) pages.push_back(p);
-      for (RowId r = range.begin; r < range.end; ++r) {
-        ++out.rows_examined;
-        if (table.IsDeleted(r)) {
-          ++dead_examined;
-          continue;
-        }
-        if (query.Matches(table, r)) ++out.num_matches;
-      }
+      FilterRowRange(table, query, range, &counts, nullptr, &pages);
     }
-    ms += ChargeHeapRuns(*st, ExtractRuns(std::move(pages), gap));
+    ms += ChargeHeapRuns(st, ExtractRuns(std::move(pages), RunGap()));
   };
 
-  switch (kind) {
+  switch (win.kind) {
     case PlanKind::kSeqScan: {
-      for (RowId r = 0; r < n_rows; ++r) {
-        ++out.rows_examined;
-        if (table.IsDeleted(r)) {
-          ++dead_examined;
-          continue;
-        }
-        if (query.Matches(table, r)) ++out.num_matches;
-      }
+      FilterRowRange(table, query, RowRange{0, RowId(n_rows)}, &counts);
       DiskStats io;
       io.seq_pages = table.layout().NumPages(n_rows);
       ms += options_.disk.CostMs(io);
@@ -662,68 +466,53 @@ SelectResult ServingEngine::ExecuteSelect(const Query& query,
       // The shared predicate-selection rule: ChooseAccessPlan costed this
       // plan from the same predicate, so plan_est_ms prices exactly the
       // range set executed here.
-      const Predicate* cpred = FindPredicateOn(query, st->cidx->column());
+      const Predicate* cpred = FindPredicateOn(query, st.cidx->column());
       assert(cpred != nullptr && "clustered plan without clustered pred");
       const std::vector<RowRange> ranges =
-          ClusteredRangesFor(table, *st->cidx, *cpred, boundary);
+          ClusteredRangesFor(table, *st.cidx, *cpred, boundary);
       std::vector<PageNo> leaves;
       leaves.reserve(ranges.size());
       for (const RowRange& r : ranges) {
         leaves.push_back(table.layout().PageOfRow(r.begin));
       }
       if (leaves.empty()) leaves.push_back(0);  // the descent that missed
-      ms += ChargeDescents(*st, leaves);
+      ms += ChargeDescents(st, leaves);
       sweep_ranges(ranges);
       break;
     }
     case PlanKind::kCmProbe: {
-      const CmLookupResult& res = *views[cm_slot].lookup;
-      // Translate ordinal runs to clustered row ranges (the tail is
-      // handled separately below; neither cidx nor the positional
-      // bucketing covers rows >= boundary). The cost-based deliberation
-      // already translated them; first-match translates here.
-      std::vector<RowRange> ranges;
-      std::vector<PageNo> leaves;
-      if (cm_slot < cm_ranges.size()) {
-        ranges = std::move(cm_ranges[cm_slot]);
-        leaves = std::move(cm_leaves[cm_slot]);
-      } else {
-        TranslateCmRuns(*st, cm_slot, res, boundary, &ranges, &leaves);
-      }
-      ms += ChargeDescents(*st, leaves);
-      sweep_ranges(ranges);
+      // The deliberation's translation (the tail is swept separately
+      // below; neither cidx nor the positional bucketing covers rows >=
+      // boundary): the descents and ranges CmProbeCostMs priced.
+      const CmRowRanges& rr = plan.cm_ranges[win.slot];
+      ms += ChargeDescents(st, rr.leaves);
+      sweep_ranges(rr.ranges);
+      const CmPlanView& view = plan.views[win.slot];
       ms += cost_model_.CmLookupProbeCost(
-          double(std::max<size_t>(views[cm_slot].num_ukeys, 1)),
-          double(res.entries_probed));
+          double(std::max<size_t>(view.num_ukeys, 1)),
+          double(view.lookup->entries_probed));
       break;
     }
     case PlanKind::kSortedIndex: {
-      const SidxPlan* plan = nullptr;
-      for (const SidxPlan& p : sidx_plans) {
-        if (p.slot == sidx_slot) plan = &p;
+      const SidxPlan* sp = nullptr;
+      for (const SidxPlan& p : plan.sidx_plans) {
+        if (p.slot == win.slot) sp = &p;
       }
-      assert(plan != nullptr && "chosen sorted-index slot not resolved");
-      const SecondaryIndex& idx = *st->sidx[plan->slot];
+      assert(sp != nullptr && "chosen sorted-index slot not resolved");
+      const SecondaryIndex& idx = *st.sidx[sp->slot];
       // One descent per probe; leaves proxied by the runs' first heap
       // pages so leaf residency tracks the ranges actually landed on.
       std::vector<PageNo> leaves;
-      leaves.reserve(plan->n_probes);
-      for (size_t i = 0; i < plan->n_probes; ++i) {
+      leaves.reserve(sp->n_probes);
+      for (size_t i = 0; i < sp->n_probes; ++i) {
         leaves.push_back(
-            plan->runs.empty()
+            sp->runs.empty()
                 ? PageNo(0)
-                : plan->runs[std::min(i, plan->runs.size() - 1)].first);
+                : sp->runs[std::min(i, sp->runs.size() - 1)].first);
       }
-      ms += ChargeDescentsOf(st->sidx_files[plan->slot], idx.Height(), leaves);
-      for (const RowId r : plan->rids) {
-        ++out.rows_examined;
-        if (table.IsDeleted(r)) {
-          ++dead_examined;
-          continue;
-        }
-        if (query.Matches(table, r)) ++out.num_matches;
-      }
-      ms += ChargeHeapRuns(*st, plan->runs);
+      ms += ChargeDescentsOf(st.sidx_files[sp->slot], idx.Height(), leaves);
+      FilterRidList(table, query, sp->rids, &counts);
+      ms += ChargeHeapRuns(st, sp->runs);
       break;
     }
   }
@@ -732,42 +521,45 @@ SelectResult ServingEngine::ExecuteSelect(const Query& query,
   // every non-scan plan. This is what makes a freshly appended row
   // visible to selects immediately; a recluster returns the tail to zero
   // and retires this cost.
-  if (kind != PlanKind::kSeqScan && boundary < n_rows) {
+  if (win.kind != PlanKind::kSeqScan && boundary < n_rows) {
     out.tail_rows_swept = uint64_t(n_rows) - uint64_t(boundary);
-    for (RowId r = boundary; r < n_rows; ++r) {
-      ++out.rows_examined;
-      if (table.IsDeleted(r)) {
-        ++dead_examined;
-        continue;
-      }
-      if (query.Matches(table, r)) ++out.num_matches;
-    }
+    FilterRowRange(table, query, RowRange{boundary, RowId(n_rows)}, &counts);
     const PageNo first = table.layout().PageOfRow(boundary);
     const PageNo last = table.layout().PageOfRow(n_rows - 1);
     const PageRun tail_run{first, last - first + 1};
-    ms += ChargeHeapRuns(*st, std::span<const PageRun>(&tail_run, 1));
+    ms += ChargeHeapRuns(st, std::span<const PageRun>(&tail_run, 1));
   }
 
-  ms += double(dead_examined) * CostModel::kTombstoneCpuMs;
-  out.simulated_ms = ms;
-  MaybeRefreshCalibration(*st);
-  if (metrics_ != nullptr) {
-    trace.fingerprint = obs::FingerprintQuery(query);
-    trace.epoch = st->version;
-    trace.plan_kind = kind;
-    trace.cost_based = mode == ServingOptions::PlanChoice::kCostBased;
-    trace.cache_hit = out.cache_hit;
-    trace.est_ms = out.plan_est_ms;
-    trace.actual_ms = out.simulated_ms;
-    trace.num_matches = out.num_matches;
-    trace.rows_examined = out.rows_examined;
-    trace.tail_rows_swept = out.tail_rows_swept;
-    if (trace.num_candidates == 0) {
-      trace.num_candidates = uint32_t(out.plan_candidates);
-    }
-    metrics_->RecordSelect(trace);
-  }
+  out.rows_examined = counts.examined;
+  out.num_matches = counts.matches;
+  // Dead rows examined and skipped are priced at the tombstone CPU term,
+  // so execution cost tracks the same penalty plan costing estimated.
+  out.simulated_ms = ms + double(counts.dead) * CostModel::kTombstoneCpuMs;
   return out;
+}
+
+void ServingEngine::RecordSelect(const EpochState& st, const Query& query,
+                                 const SelectPlan& plan,
+                                 const SelectResult& out) const {
+  MaybeRefreshCalibration(st);
+  if (metrics_ == nullptr) return;
+  obs::SelectTrace trace;
+  trace.fingerprint = obs::FingerprintQuery(query);
+  trace.epoch = st.version;
+  trace.plan_kind = out.plan_kind;
+  trace.cache_hit = out.cache_hit;
+  trace.est_ms = out.plan_est_ms;
+  trace.actual_ms = out.simulated_ms;
+  trace.num_matches = out.num_matches;
+  trace.rows_examined = out.rows_examined;
+  trace.tail_rows_swept = out.tail_rows_swept;
+  trace.num_candidates = uint32_t(plan.plans.candidates.size());
+  for (const PlanCandidate& c : plan.plans.candidates) {
+    if (trace.num_recorded == obs::kTraceCandidateCap) break;
+    trace.candidates[trace.num_recorded++] = {c.kind, uint32_t(c.slot),
+                                              c.est_ms};
+  }
+  metrics_->RecordSelect(trace);
 }
 
 Status ServingEngine::PrepareAppend(std::span<const std::vector<Key>> rows,
@@ -815,9 +607,9 @@ Status ServingEngine::CommitAppend(PreparedAppend* prep,
   // have landed, so the probe==scan invariant holds throughout. c-bucketed
   // CMs are skipped entirely -- positional bucket ids do not cover the
   // tail; the next recluster folds these rows in when it rebuilds them.
-  for (const auto& scm : st->cms) {
-    if (scm->has_clustered_buckets()) continue;
-    scm->InsertRowsBatched(rids);
+  for (const auto& cm : st->cms) {
+    if (cm->has_clustered_buckets()) continue;
+    cm->InsertRowsBatched(rids);
   }
   // Log after the mutation succeeded: under append_mu_ the log order is
   // exactly the apply order, so replay reproduces the same row ids.
@@ -847,13 +639,13 @@ Status ServingEngine::DeleteRowLocked(const EpochState& st, RowId row) {
   Status s = st.table->DeleteRow(row);
   if (!s.ok()) return s;
   delete_log_.push_back(row);
-  for (const auto& scm : st.cms) {
+  for (const auto& cm : st.cms) {
     // c-bucketed CMs never covered tail rows (the append path skips
     // them), so there is nothing to retract there.
-    if (scm->has_clustered_buckets() && row >= st.clustered_boundary) {
+    if (cm->has_clustered_buckets() && row >= st.clustered_boundary) {
       continue;
     }
-    Status cs = scm->DeleteRow(row);
+    Status cs = cm->DeleteRow(row);
     if (!cs.ok()) return cs;
   }
   return Status::OK();
@@ -913,17 +705,17 @@ Status ServingEngine::ApplyDeletes(std::span<const RowId> rows,
   }
   if (newly.empty()) return Status::OK();
   std::vector<RowId> clustered_only;
-  for (const auto& scm : st->cms) {
+  for (const auto& cm : st->cms) {
     Status cs;
-    if (scm->has_clustered_buckets()) {
+    if (cm->has_clustered_buckets()) {
       if (clustered_only.empty()) {
         for (const RowId row : newly) {
           if (row < st->clustered_boundary) clustered_only.push_back(row);
         }
       }
-      cs = scm->DeleteRowsBatched(clustered_only);
+      cs = cm->DeleteRowsBatched(clustered_only);
     } else {
-      cs = scm->DeleteRowsBatched(newly);
+      cs = cm->DeleteRowsBatched(newly);
     }
     if (!cs.ok()) return cs;
   }
@@ -965,9 +757,9 @@ Status ServingEngine::ApplyUpdate(RowId row, std::span<const Key> new_values,
   const RowId rid = RowId(table->NumRows());
   table->AppendRowKeys(new_values);
   const RowId rids[1] = {rid};
-  for (const auto& scm : st->cms) {
-    if (scm->has_clustered_buckets()) continue;
-    scm->InsertRowsBatched(rids);
+  for (const auto& cm : st->cms) {
+    if (cm->has_clustered_buckets()) continue;
+    cm->InsertRowsBatched(rids);
   }
   if (durability_ != nullptr) durability_->LogUpdate(row, new_values);
   if (metrics_ != nullptr) metrics_->updates->Increment();
@@ -1134,14 +926,14 @@ const ClusteredIndex& ServingEngine::cidx() const {
   return *CurrentState()->cidx;
 }
 
-const ShardedCorrelationMap& ServingEngine::cm(size_t i) const {
+const ConcurrentCorrelationMap& ServingEngine::cm(size_t i) const {
   return *CurrentState()->cms[i];
 }
 
 Status ServingEngine::CheckInvariants() const {
   const std::shared_ptr<EpochState> st = CurrentState();
-  for (const auto& scm : st->cms) {
-    Status s = scm->CheckInvariants();
+  for (const auto& cm : st->cms) {
+    Status s = cm->CheckInvariants();
     if (!s.ok()) return s;
   }
   const Table& table = *st->table;

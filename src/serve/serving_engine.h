@@ -1,5 +1,5 @@
 // The concurrent serving layer: one ServingEngine owns a clustered table
-// plus its sharded CorrelationMaps and exposes thread-safe Submit(Query) /
+// plus its CorrelationMaps and exposes thread-safe Submit(Query) /
 // Append(rows) APIs backed by a fixed worker pool, the shape the paper's
 // Fig. 9 mixed insert/select stream takes when driven by many clients.
 //
@@ -24,8 +24,9 @@
 // per-epoch calibration snapshot, so a clustered range the workload keeps
 // hot is priced near CPU cost instead of cold I/O (the Fig. 9 gap). Full
 // scans read around the pool (ring-buffer style) and stay cold-priced.
-// ServingOptions::plan_choice can pin the legacy first-match policy (the
-// first applicable CM, else scan) for A/B runs.
+// A select runs in three steps: deliberate (resolve lookups, translate
+// runs, price every candidate), execute the winner through the shared
+// exec/access_path row filters, and record.
 //
 // Rows appended after the table was clustered live in an unclustered tail
 // [clustered_boundary, NumRows); the clustered index does not cover them,
@@ -37,8 +38,9 @@
 //
 // Write path: ApplyAppend serializes whole append transactions (heap rows
 // + CM maintenance) behind one mutex; the table publishes each row with a
-// release store and the sharded CMs take their per-shard exclusive locks,
-// so concurrent selects never block for longer than one shard update.
+// release store and each CM takes its exclusive lock only to apply
+// pre-bucketed pairs, so concurrent selects never block for longer than
+// one CM update.
 // When the tail reaches `recluster_tail_rows`, the append schedules a
 // background recluster on the worker pool.
 #ifndef CORRMAP_SERVE_SERVING_ENGINE_H_
@@ -61,15 +63,16 @@
 
 #include "core/bucketing.h"
 #include "core/cost_model.h"
+#include "exec/access_path.h"
 #include "exec/plan_choice.h"
 #include "exec/predicate.h"
 #include "index/clustered_index.h"
 #include "index/secondary_index.h"
 #include "obs/serving_metrics.h"
+#include "serve/concurrent_cm.h"
 #include "serve/durability.h"
 #include "serve/recluster.h"
 #include "serve/shared_lookup_cache.h"
-#include "serve/sharded_cm.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_model.h"
 #include "storage/table.h"
@@ -79,8 +82,6 @@ namespace corrmap::serve {
 struct ServingOptions {
   /// Fixed worker pool size for the async Submit/Append APIs.
   size_t num_workers = 4;
-  /// Shards per attached CM.
-  size_t num_cm_shards = ShardedCorrelationMap::kDefaultShards;
   /// Row capacity to pre-reserve in the table. Concurrent readers require
   /// append-without-reallocation (see storage/table.h), so Append refuses
   /// rows beyond the reservation instead of growing it. 0 reserves the
@@ -100,13 +101,6 @@ struct ServingOptions {
   /// and a Compact also drains the tail. 0 disables; Compact() can still
   /// be called explicitly.
   double compact_deleted_fraction = 0;
-  /// How ExecuteSelect picks its access plan. kCostBased (default) costs
-  /// scan / clustered-range / every applicable CM probe with the shared
-  /// plan enumeration and runs the cheapest; kFirstMatch reproduces the
-  /// pre-cost-model policy (first applicable CM, else full scan) for A/B
-  /// comparisons. Runtime-togglable via set_plan_choice().
-  enum class PlanChoice : uint8_t { kFirstMatch, kCostBased };
-  PlanChoice plan_choice = PlanChoice::kCostBased;
   /// Buffer pool (in pages) behind the serving read path: targeted sweeps
   /// are routed through it, per-select cost prices hits near CPU cost,
   /// and its decayed per-file hit rates calibrate plan costing. 0
@@ -182,10 +176,10 @@ struct SelectResult {
 
   /// ChosenPlan test hook: what the engine decided and why. `plan` is the
   /// candidate description ("seq_scan", "clustered_index_scan",
-  /// "cm_scan(<name>)"), `plan_est_ms` its estimate (0 under first-match,
-  /// which does not cost), and the residency fields are the calibration
-  /// snapshot the deliberation used -- enough for a test to replay the
-  /// identical choice through exec::ChooseAccessPlan offline.
+  /// "cm_scan(<name>)"), `plan_est_ms` its estimate, and the residency
+  /// fields are the calibration snapshot the deliberation used -- enough
+  /// for a test to replay the identical choice through
+  /// exec::ChooseAccessPlan offline.
   static constexpr size_t kNoCmSlot = ~size_t{0};
   PlanKind plan_kind = PlanKind::kSeqScan;
   std::string plan;
@@ -194,9 +188,6 @@ struct SelectResult {
   uint64_t plan_candidates = 0;     ///< candidates deliberated
   double heap_residency = 0;
   double cidx_residency = 0;
-  /// The cross-shard scatter budget was exhausted, so this select skipped
-  /// CM/sorted-index deliberation and ran its cheapest CM-free plan.
-  bool budget_degraded = false;
 };
 
 class ServingEngine {
@@ -248,7 +239,7 @@ class ServingEngine {
       size_t c_col, const ServingOptions& options, const RecoverSpec& spec,
       RecoveryStats* stats = nullptr);
 
-  /// Builds a sharded CM over the current table contents and attaches it.
+  /// Builds a CM over the current table contents and attaches it.
   /// Setup-phase only: attach every CM before traffic starts (the CM list
   /// itself is unsynchronized; concurrent Submit/ExecuteSelect iterate
   /// it). Clustered-attribute bucketing is admitted: the engine copies the
@@ -270,16 +261,7 @@ class ServingEngine {
   Status AttachSecondaryIndex(std::vector<size_t> columns);
 
   /// Synchronous thread-safe select; Submit routes here from the pool.
-  /// When `budget` is non-null and the cost-based policy is active, the
-  /// select participates in a cross-shard scatter budget: if the cheapest
-  /// CM-free candidate (seq scan / clustered range) already exceeds the
-  /// remaining allowance, CM and sorted-index deliberation is skipped and
-  /// that cheap plan runs (results stay exact -- every plan is -- only
-  /// deliberation effort and plan quality degrade, flagged in
-  /// SelectResult::budget_degraded). The executed plan's estimate is
-  /// charged against the budget either way.
-  SelectResult ExecuteSelect(const Query& query,
-                             CostBudget* budget = nullptr) const;
+  SelectResult ExecuteSelect(const Query& query) const;
 
   /// Synchronous thread-safe append of whole rows (physical keys, schema
   /// arity): appends to the heap, then updates every attached CM.
@@ -394,15 +376,6 @@ class ServingEngine {
     compact_deleted_fraction_.store(fraction, std::memory_order_relaxed);
   }
 
-  /// Switches the plan-choice policy at runtime (benches A/B the two on
-  /// one engine). Selects in flight finish under the policy they read.
-  void set_plan_choice(ServingOptions::PlanChoice mode) {
-    plan_choice_.store(mode, std::memory_order_relaxed);
-  }
-  ServingOptions::PlanChoice plan_choice() const {
-    return plan_choice_.load(std::memory_order_relaxed);
-  }
-
   /// The calibration snapshot the current epoch's selects are pricing
   /// with (zeros when the pool is disabled or not yet refreshed).
   PlanCalibration CurrentCalibration() const;
@@ -411,10 +384,10 @@ class ServingEngine {
   /// calibration to cold -- the drop_caches step between A/B trials.
   void ResetBufferPool();
 
-  /// Test hook: the deliberation ExecuteSelect would run right now under
-  /// the cost-based policy (candidates, estimates, winner), without
-  /// executing. Uses the same epoch snapshot, shared lookup cache, and
-  /// calibration inputs as a live select.
+  /// The deliberation ExecuteSelect would run right now (candidates,
+  /// estimates, winner), without executing: ExecuteSelect's own first
+  /// step, on the same epoch snapshot, shared lookup cache, and
+  /// calibration inputs.
   PlanSet PlanSelect(const Query& query) const;
 
   /// Stops the pool, waits for queued work, and restarts with `n` workers
@@ -472,11 +445,11 @@ class ServingEngine {
   /// stable while no recluster can run (setup, quiescent checks): a swap
   /// retires the epoch that backs them once the last reader drops it.
   const Table& table() const;
-  const ShardedCorrelationMap& cm(size_t i) const;
+  const ConcurrentCorrelationMap& cm(size_t i) const;
   /// Clustered index of the current epoch (same stability caveat).
   const ClusteredIndex& cidx() const;
 
-  /// Invariants of every attached sharded CM plus the epoch's physical
+  /// Invariants of every attached CM plus the epoch's physical
   /// layout: the clustered region must be sorted on the clustered column
   /// and the boundary within the row count (call at quiescence).
   Status CheckInvariants() const;
@@ -505,7 +478,7 @@ class ServingEngine {
     RowId clustered_boundary = 0;
     /// Parallel to the attach order. c_bucketings[i] owns the clustered
     /// bucketing cms[i] points at (null for unbucketed CMs).
-    std::vector<std::unique_ptr<ShardedCorrelationMap>> cms;
+    std::vector<std::unique_ptr<ConcurrentCorrelationMap>> cms;
     std::vector<std::unique_ptr<ClusteredBucketing>> c_bucketings;
     std::unique_ptr<Table> owned_table;
     std::unique_ptr<ClusteredIndex> owned_cidx;
@@ -552,12 +525,6 @@ class ServingEngine {
   /// append_mu_ and has bounds-checked the row.
   Status DeleteRowLocked(const EpochState& st, RowId row);
 
-  /// Compiles the query's predicates for `scm`'s attributes; false when
-  /// some CM attribute is unpredicated (CM inapplicable, §6.2.1).
-  static bool CompilePredicates(const ShardedCorrelationMap& scm,
-                                const Query& query,
-                                std::vector<CmColumnPredicate>* out);
-
   /// Registers the epoch's heap/cidx files with the pool and installs a
   /// cold calibration cell. Called for epoch 0 and for every recluster
   /// successor before it is published.
@@ -568,14 +535,11 @@ class ServingEngine {
   /// per-file hit rates.
   void MaybeRefreshCalibration(const EpochState& st) const;
 
-  /// Applicable-CM lookups for `query`, one per CM slot (unfilled views
-  /// stay inapplicable). Results come from / are published to the shared
-  /// cache; `pinned` keeps them alive for the caller. Under first-match
-  /// only the first applicable CM is resolved.
-  void ResolveCmLookups(const EpochState& st, const Query& query,
-                        bool first_match_only, std::vector<CmPlanView>* views,
-                        std::vector<SharedLookupCache::ResultPtr>* pinned,
-                        std::vector<uint8_t>* cache_hits) const;
+  /// Slot `slot`'s lookup for `preds`, from or published to the shared
+  /// cache (`*hit` says which).
+  SharedLookupCache::ResultPtr LookupThroughCache(
+      const EpochState& st, size_t slot,
+      std::span<const CmColumnPredicate> preds, bool* hit) const;
 
   /// Prices a set of heap page runs through the buffer pool (hits near
   /// CPU cost, misses at device cost, one seek per run) and admits the
@@ -606,36 +570,52 @@ class ServingEngine {
   /// predicate on the index's first column makes it applicable -- the
   /// composite-prefix rule of SecondaryIndex::LookupRange).
   void ResolveSidxPlans(const EpochState& st, const Query& query,
-                        uint64_t run_gap, std::vector<SidxPlan>* plans) const;
+                        std::vector<SidxPlan>* plans) const;
 
-  /// Translates one CM lookup's ordinal runs into sorted clustered row
-  /// ranges (clamped to `boundary`) and the descent leaf pages. Shared by
-  /// deliberation -- the pre-translated ranges feed the extent-granular
-  /// residency refinement via CmPlanView::row_ranges -- and execution,
-  /// which sweeps the identical ranges, so the two never diverge.
-  static void TranslateCmRuns(const EpochState& st, size_t slot,
-                              const CmLookupResult& res, RowId boundary,
-                              std::vector<RowRange>* ranges,
-                              std::vector<PageNo>* leaves);
+  /// Everything one select decided in its deliberate step, kept for the
+  /// execute step so it reuses the lookups, translations, and rid sets
+  /// the winner was priced from instead of redoing them. Vectors over CM
+  /// slots are parallel to the attach order.
+  struct SelectPlan {
+    PlanSet plans;
+    PlanCalibration calib;
+    /// Published row count snapshotted once: every row below it is fully
+    /// written (release/acquire pairing with the append path).
+    size_t n_rows = 0;
+    /// views[i].lookup points into lookups[i], views[i].row_ranges into
+    /// cm_ranges[i].ranges.
+    std::vector<CmPlanView> views;
+    std::vector<SharedLookupCache::ResultPtr> lookups;
+    std::vector<uint8_t> cache_hits;
+    std::vector<CmRowRanges> cm_ranges;
+    std::vector<SidxPlan> sidx_plans;
+  };
 
-  /// The cost-based deliberation both ExecuteSelect and PlanSelect run:
-  /// pre-translates every applicable CM's runs (filling `views[i]`'s
-  /// row_ranges for the extent refinement), resolves sorted-index
+  /// Deliberate: resolves every applicable CM's lookup through the shared
+  /// cache and translates its runs (the row ranges also feed the
+  /// extent-granular residency refinement), resolves the sorted-index
   /// candidates, and prices everything through ChooseAccessPlan under the
-  /// epoch's calibration. Outputs are keyed by slot so the execution arms
-  /// reuse the winner's translation instead of redoing it.
-  PlanSet Deliberate(const EpochState& st, const Query& query,
-                     const PlanCalibration& calib, uint64_t gap,
-                     std::vector<CmPlanView>* views,
-                     std::vector<std::vector<RowRange>>* cm_ranges,
-                     std::vector<std::vector<PageNo>>* cm_leaves,
-                     std::vector<SidxPlan>* sidx_plans,
-                     CostBudget* budget = nullptr) const;
+  /// epoch's calibration.
+  SelectPlan Deliberate(const EpochState& st, const Query& query) const;
+  /// Execute: runs the plan's winner plus the tail sweep through the
+  /// shared row filters, pricing every targeted page through the buffer
+  /// pool (full scans read around it and stay cold).
+  SelectResult ExecutePlan(const EpochState& st, const Query& query,
+                           const SelectPlan& plan) const;
+  /// Record: advances the calibration refresh period and, when observed,
+  /// records the select's trace.
+  void RecordSelect(const EpochState& st, const Query& query,
+                    const SelectPlan& plan, const SelectResult& out) const;
+
+  /// Page-gap tolerance of heap run extraction: reading through a hole is
+  /// cheaper than seeking over it up to seek_ms / seq_page_ms pages.
+  uint64_t RunGap() const {
+    return uint64_t(options_.disk.seek_ms() / options_.disk.seq_page_ms());
+  }
 
   ServingOptions options_;
   std::atomic<size_t> recluster_tail_rows_;
   std::atomic<double> compact_deleted_fraction_;
-  std::atomic<ServingOptions::PlanChoice> plan_choice_;
   CostModel cost_model_;
   /// Serving-path buffer pool (null when disabled); internally
   /// thread-safe via lock striping. Either owned by this engine or shared

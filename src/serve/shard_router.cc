@@ -70,8 +70,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   // registers partition-level aggregates below instead.
   r->metrics_ = eo.metrics;
   eo.metrics_register_gauges = false;
-  r->parallel_scatter_ = options.parallel_scatter;
-  r->scatter_budget_ms_ = options.scatter_budget_ms;
   r->engines_pooled_ = eo.num_workers > 0;
   r->on_shard_visit_ = options.on_shard_visit;
 
@@ -97,7 +95,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     r->shards_.push_back(std::move(sh));
   }
   if (r->metrics_ != nullptr) r->RegisterMetricsGauges();
-  if (r->parallel_scatter_ && !r->engines_pooled_ && r->shards_.size() > 1) {
+  if (!r->engines_pooled_ && r->shards_.size() > 1) {
     r->StartFallbackPool(std::min<size_t>(r->shards_.size(), 8));
   }
   return r;
@@ -131,8 +129,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Recover(
   eo.shared_cache = r->cache_.get();
   r->metrics_ = eo.metrics;
   eo.metrics_register_gauges = false;
-  r->parallel_scatter_ = options.parallel_scatter;
-  r->scatter_budget_ms_ = options.scatter_budget_ms;
   r->engines_pooled_ = eo.num_workers > 0;
   r->on_shard_visit_ = options.on_shard_visit;
 
@@ -148,7 +144,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Recover(
     if (stats != nullptr) stats->push_back(shard_stats);
   }
   if (r->metrics_ != nullptr) r->RegisterMetricsGauges();
-  if (r->parallel_scatter_ && !r->engines_pooled_ && r->shards_.size() > 1) {
+  if (!r->engines_pooled_ && r->shards_.size() > 1) {
     r->StartFallbackPool(std::min<size_t>(r->shards_.size(), 8));
   }
   return r;
@@ -366,22 +362,16 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
     }
   }
 
-  // One scatter, one shared deliberation budget (0 disables; the gate
-  // lives inside ExecuteSelect's cost-based path).
-  CostBudget budget(scatter_budget_ms_);
-  CostBudget* budget_ptr = scatter_budget_ms_ > 0 ? &budget : nullptr;
-
   // Scatter: each visited shard's select runs as an independent task that
   // writes only its own `parts` slot and times its own visit, so per-shard
-  // completion needs no synchronization beyond the gather below. Under
-  // parallel scatter the tasks ride the shards' worker pools (or the
-  // router's fallback pool when the engines run pool-less) and this
-  // thread blocks on the futures; a single-target scatter and the
-  // sequential mode run inline.
+  // completion needs no synchronization beyond the gather below. The
+  // tasks ride the shards' worker pools (or the router's fallback pool
+  // when the engines run pool-less) and this thread blocks on the
+  // futures; a single-target scatter runs inline.
   std::vector<SelectResult> parts(targets.size());
   auto visit_one = [&](size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
-    parts[i] = shards_[targets[i]].engine->ExecuteSelect(query, budget_ptr);
+    parts[i] = shards_[targets[i]].engine->ExecuteSelect(query);
     if (metrics_ != nullptr) {
       const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - t0)
@@ -390,7 +380,7 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
     }
     if (on_shard_visit_) on_shard_visit_(parts[i]);
   };
-  if (parallel_scatter_ && targets.size() > 1) {
+  if (targets.size() > 1) {
     std::vector<std::future<void>> gathers;
     gathers.reserve(targets.size());
     for (size_t i = 0; i < targets.size(); ++i) {
@@ -404,12 +394,12 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
       }
     }
     for (std::future<void>& f : gathers) f.get();
-  } else {
-    for (size_t i = 0; i < targets.size(); ++i) visit_one(i);
+  } else if (!targets.empty()) {
+    visit_one(0);
   }
 
-  // Gather: single-threaded, ascending shard order -- merged counts are
-  // identical to the sequential scatter by construction. Critical-path
+  // Gather: single-threaded, ascending shard order -- merged counts never
+  // depend on which shard finished first. Critical-path
   // maxima feed the router trace; the merged result keeps the historical
   // summed/OR-ed semantics.
   double max_est_ms = 0;
@@ -418,7 +408,6 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
   for (size_t i = 0; i < targets.size(); ++i) {
     const SelectResult& part = parts[i];
     ++out.shards_visited;
-    if (part.budget_degraded) ++out.shards_degraded;
     if (part.cache_hit) ++cache_hit_shards;
     max_est_ms = std::max(max_est_ms, part.plan_est_ms);
     max_actual_ms = std::max(max_actual_ms, part.simulated_ms);
@@ -431,8 +420,6 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
     out.merged.simulated_ms += part.simulated_ms;
     out.merged.used_cm = out.merged.used_cm || part.used_cm;
     out.merged.cache_hit = out.merged.cache_hit || part.cache_hit;
-    out.merged.budget_degraded =
-        out.merged.budget_degraded || part.budget_degraded;
     out.merged.plan_est_ms += part.plan_est_ms;
     out.merged.plan_candidates += part.plan_candidates;
   }
@@ -459,7 +446,6 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
     obs::SelectTrace t;
     t.fingerprint = obs::FingerprintQuery(query);
     t.from_router = true;
-    t.cost_based = false;  // merged costs, not one deliberation
     t.cache_hit =
         out.shards_visited > 0 && cache_hit_shards == out.shards_visited;
     t.cache_hit_shards = uint32_t(cache_hit_shards);
@@ -471,7 +457,6 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
     t.rows_examined = out.merged.rows_examined;
     t.shards_visited = uint32_t(out.shards_visited);
     t.shards_pruned = uint32_t(out.shards_pruned);
-    t.shards_degraded = uint32_t(out.shards_degraded);
     t.num_candidates = uint32_t(out.merged.plan_candidates);
     for (size_t i = 0; i < parts.size() && i < obs::kTraceShardCap; ++i) {
       t.shard_actual_ms[t.num_shard_actuals++] = parts[i].simulated_ms;

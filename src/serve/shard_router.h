@@ -22,18 +22,13 @@
 //      reuses it. (cm_pruned when at least one shard was skipped)
 //   3. No clustered predicate and no applicable CM: full scatter-gather.
 // Visited shards run their ordinary cost-based deliberation. The scatter
-// itself is parallel by default: each visited shard's select is posted to
-// that shard's own worker pool (or to a router-owned fallback pool when
-// the engines run pool-less) and the router blocks on the gathered
-// futures, so a multi-shard select costs one shard's latency instead of
-// the sum. The merge stays single-threaded and walks the results in
-// ascending shard order -- merged counts are identical whether the
-// scatter ran parallel or sequential (RouterOptions::parallel_scatter
-// pins the legacy sequential walk for A/B). A scatter can also share one
-// cross-shard deliberation budget (RouterOptions::scatter_budget_ms): a
-// shard whose cheapest CM-free candidate already exceeds the remaining
-// allowance skips CM/sorted-index deliberation and runs that cheap plan
-// -- results stay exact, only deliberation effort degrades.
+// is parallel: each visited shard's select is posted to that shard's own
+// worker pool (or to a router-owned fallback pool when the engines run
+// pool-less) and the router blocks on the gathered futures, so a
+// multi-shard select costs one shard's latency instead of the sum; a
+// single-target select runs inline. The merge stays single-threaded and
+// walks the results in ascending shard order, so merged counts never
+// depend on completion order.
 //
 // Writes route by clustered key: ApplyAppend groups rows by owning shard
 // and applies the groups all-or-nothing (every target shard validates and
@@ -88,26 +83,12 @@ struct RouterOptions {
   /// ignored by the router (a single WAL cannot speak N independent
   /// row-id spaces). All managers must outlive the router.
   std::vector<Durability*> shard_durability;
-  /// Run the scatter in parallel: visited shards' selects execute
-  /// concurrently on the shards' worker pools (router-owned fallback pool
-  /// when engine.num_workers == 0) and merge in ascending shard order, so
-  /// merged counts match the sequential walk exactly. false pins the
-  /// legacy sequential scatter (the bench A/B leg).
-  bool parallel_scatter = true;
-  /// Cross-shard deliberation budget per scatter, in estimated ms: a
-  /// visited shard whose cheapest CM-free candidate (seq scan / clustered
-  /// range) already exceeds the remaining allowance skips CM and
-  /// sorted-index deliberation and runs that cheap plan. Results stay
-  /// exact -- every plan re-filters the same rows -- only deliberation
-  /// effort and plan quality degrade (SelectResult::budget_degraded,
-  /// router_budget_degraded_visits_total). 0 disables.
-  double scatter_budget_ms = 0;
   /// Test/bench hook: called once per shard visit with that shard's own
   /// SelectResult, from whichever thread ran the visit (must be
-  /// thread-safe under parallel scatter). The bench injects the simulated
-  /// device stall here so it overlaps across shards the way real device
-  /// waits would; fuzz tests inject seeded delays to stretch the window
-  /// in which a recluster publish races the gather.
+  /// thread-safe). The bench injects the simulated device stall here so
+  /// it overlaps across shards the way real device waits would; fuzz
+  /// tests inject seeded delays to stretch the window in which a
+  /// recluster publish races the gather.
   std::function<void(const SelectResult&)> on_shard_visit;
 };
 
@@ -119,9 +100,6 @@ struct RoutedSelectResult {
   SelectResult merged;
   size_t shards_visited = 0;
   size_t shards_pruned = 0;      ///< skipped without executing
-  /// Visited shards that degraded to their cheap plan because the
-  /// scatter's shared deliberation budget ran out.
-  size_t shards_degraded = 0;
   bool clustered_routed = false; ///< pruned by clustered-key range
   bool cm_pruned = false;        ///< pruned by per-shard CM lookups
 };
@@ -243,9 +221,9 @@ class ShardRouter {
 
   void RegisterMetricsGauges();
 
-  /// Router-owned scatter pool, started only when parallel scatter is on
-  /// and the engines run pool-less (num_workers == 0): a pool-less engine
-  /// never drains its queue, so Post would hang.
+  /// Router-owned scatter pool, started only when the engines run
+  /// pool-less (num_workers == 0): a pool-less engine never drains its
+  /// queue, so Post would hang.
   void StartFallbackPool(size_t n);
   void SubmitFallback(std::function<void()> fn) const;
 
@@ -256,8 +234,6 @@ class ShardRouter {
   std::unique_ptr<SharedLookupCache> cache_;
   obs::ServingMetrics* metrics_ = nullptr;
   std::vector<std::string> gauge_names_;
-  bool parallel_scatter_ = true;
-  double scatter_budget_ms_ = 0;
   /// Shards own worker pools (engine.num_workers > 0): scatter tasks ride
   /// them; otherwise the fallback pool below.
   bool engines_pooled_ = true;

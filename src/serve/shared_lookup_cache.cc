@@ -82,29 +82,4 @@ SharedLookupCache::Stats SharedLookupCache::stats() const {
   return s;
 }
 
-const CmLookupResult* SharedCmLookupSource::GetOrCompute(
-    const CorrelationMap& cm, const Query& query) {
-  // Bound the pin list on long-lived streams: results older than the
-  // retained window belong to finished queries (one query pins at most a
-  // handful of CMs), so dropping the prefix never invalidates a pointer
-  // the current Execute still holds.
-  if (pinned_.size() > kMaxPinned) {
-    pinned_.erase(pinned_.begin(),
-                  pinned_.end() - std::ptrdiff_t(kRetainedPinned));
-  }
-  auto preds = CmPredicatesFor(cm, query);
-  if (!preds.ok()) return nullptr;  // inapplicable: CM attr not predicated
-  const uint64_t fp = SharedLookupCache::Fingerprint(*preds);
-  const uint64_t epoch = cm.Epoch();
-  if (SharedLookupCache::ResultPtr hit = cache_->Get(&cm, fp, epoch)) {
-    pinned_.push_back(std::move(hit));
-    return pinned_.back().get();
-  }
-  auto result = std::make_shared<const CmLookupResult>(cm.Lookup(*preds));
-  // Publish only if no maintenance interleaved with the computation.
-  if (cm.Epoch() == epoch) cache_->Put(&cm, fp, epoch, result);
-  pinned_.push_back(std::move(result));
-  return pinned_.back().get();
-}
-
 }  // namespace corrmap::serve

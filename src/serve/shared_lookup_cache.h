@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/correlation_map.h"
-#include "exec/access_path.h"
 
 namespace corrmap::serve {
 
@@ -95,37 +94,6 @@ class SharedLookupCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};
   std::atomic<uint64_t> stale_evictions_{0};
-};
-
-/// Adapter plugging the shared cache into the exec layer's CmLookupSource
-/// seam: Executor::Execute(query, &source) and CmScan then reuse
-/// CmLookupResult runs across executions, with CM epoch changes as the
-/// invalidation signal. A result is published only when the CM's epoch is
-/// unchanged across the computation, so a lookup racing maintenance is
-/// used once but never cached.
-///
-/// One instance per query stream / worker: the adapter pins returned
-/// results (shared_ptr) so the raw pointers the exec layer holds stay
-/// valid; it is NOT itself thread-safe. Pins older than the retained
-/// window are dropped automatically (a single query pins at most a
-/// handful of CMs, far below the window); ReleasePins() drops them all,
-/// e.g. when retiring the stream.
-class SharedCmLookupSource : public CmLookupSource {
- public:
-  explicit SharedCmLookupSource(SharedLookupCache* cache) : cache_(cache) {}
-
-  const CmLookupResult* GetOrCompute(const CorrelationMap& cm,
-                                     const Query& query) override;
-
-  void ReleasePins() { pinned_.clear(); }
-
- private:
-  /// Auto-trim bounds for the pin list (see GetOrCompute).
-  static constexpr size_t kMaxPinned = 64;
-  static constexpr size_t kRetainedPinned = 16;
-
-  SharedLookupCache* cache_;
-  std::vector<SharedLookupCache::ResultPtr> pinned_;
 };
 
 }  // namespace corrmap::serve

@@ -5,9 +5,9 @@
 //   * probe==scan -- each sampled query's CM-driven count equals a full
 //     scan of the engine's *current* table (differential oracle),
 //   * run-coalescing -- every cm_lookup's ordinal ranges come back
-//     sorted, disjoint, and maximally coalesced, and the shard-routed
-//     point path agrees with the all-shard reference path,
-//   * structural invariants -- per-shard CM checks plus the engine's
+//     sorted, disjoint, and maximally coalesced, and agree with a plain
+//     CorrelationMap built from the rows the served CM covers,
+//   * structural invariants -- CM checks plus the engine's
 //     clustered-prefix order, at every epoch.
 // A dedicated case drives a concurrent reader thread through live swaps:
 // reads racing the recluster must keep returning the exact pre-computed
@@ -17,7 +17,8 @@
 // updates, and compacting reclusters, checked against a shadow oracle
 // keyed by a stable per-row identity column: after every step the engine's
 // probe, a full scan of the engine's current table, AND the oracle's count
-// must agree exactly, under both plan-choice policies; a final synchronous
+// must agree exactly, on the paper's disk and on one that makes the CM
+// arm win (with a floor on CM-served selects); a final synchronous
 // compaction must drain every tombstone and leave a clustered index equal
 // to a from-scratch Build. A concurrent case drives a reader through live
 // compaction swaps while deletes and updates land.
@@ -33,6 +34,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -52,7 +54,37 @@ using serve::ReclusterStats;
 using serve::SelectResult;
 using serve::ServingEngine;
 using serve::ServingOptions;
-using serve::ShardedCorrelationMap;
+
+/// A disk on which sequential pages cost far more than seeks: CM probes
+/// and clustered ranges beat the full scan even on the fuzz's small
+/// tables, so seeds run on it keep the CM arm (and its bucket-run
+/// translation) in the winner's seat.
+DiskModel ScanAverseDisk() {
+  return DiskModel(/*seek_ms=*/0.01, /*seq_page_ms=*/5.0);
+}
+
+/// A plain CorrelationMap over exactly the rows the engine's CM `i`
+/// covers -- every live row, or only the clustered region for a
+/// c-bucketed CM, whose positional ids stop at the boundary. Its lookups
+/// are the reference the served CM must reproduce (call at quiescence).
+CorrelationMap PlainMirror(const ServingEngine& engine, size_t i) {
+  const Table& t = engine.table();
+  auto plain = CorrelationMap::Create(&t, engine.cm(i).options());
+  EXPECT_TRUE(plain.ok());
+  const size_t limit = engine.cm(i).has_clustered_buckets()
+                           ? size_t(engine.clustered_boundary())
+                           : t.NumRows();
+  for (RowId r = 0; r < limit; ++r) {
+    if (!t.IsDeleted(r)) plain->InsertRow(r);
+  }
+  return std::move(*plain);
+}
+
+/// The served CM `i` answers `preds` exactly as its plain mirror does,
+/// with coalesced runs.
+void ExpectServedMatchesPlain(const ServingEngine& engine, size_t i,
+                              const CorrelationMap& plain,
+                              std::span<const CmColumnPredicate> preds);
 
 /// Coalescing invariant: sorted, disjoint, maximal runs whose total
 /// matches num_ordinals.
@@ -79,9 +111,11 @@ struct FuzzHarness {
   std::unique_ptr<ServingEngine> engine;
   Rng rng;
 
+  /// Selects that ran the CM arm (ExpectProbeEqualsScan counts them).
+  uint64_t cm_selects = 0;
+
   FuzzHarness(uint64_t seed, int base_rows, size_t reserve_extra,
-              ServingOptions::PlanChoice plan_choice =
-                  ServingOptions::PlanChoice::kCostBased)
+              DiskModel disk = DiskModel())
       : rng(seed) {
     Schema schema({ColumnDef::Int64("c"), ColumnDef::Int64("u"),
                    ColumnDef::Int64("v")});
@@ -103,7 +137,7 @@ struct FuzzHarness {
     ServingOptions opts;
     opts.num_workers = 1;
     opts.reserve_rows = table->NumRows() + reserve_extra;
-    opts.plan_choice = plan_choice;
+    opts.disk = disk;
     // Refresh calibration aggressively so the fuzz interleavings exercise
     // residency republication racing appends, selects, and epoch swaps.
     opts.calibration_period = 16;
@@ -170,6 +204,7 @@ struct FuzzHarness {
     ASSERT_EQ(probe.num_matches, scan.NumMatches())
         << "epoch " << probe.recluster_epoch << " plan " << probe.plan;
     ASSERT_EQ(probe.used_cm, probe.plan_kind == PlanKind::kCmProbe);
+    cm_selects += probe.used_cm ? 1 : 0;
     if (probe.plan_kind == PlanKind::kCmProbe) {
       ASSERT_LT(probe.plan_cm_slot, engine->num_cms());
     } else {
@@ -179,30 +214,36 @@ struct FuzzHarness {
     ASSERT_LE(probe.heap_residency, 1.0);
   }
 
-  /// Run-coalescing + routed-vs-all-shard differential on raw lookups.
+  /// Run-coalescing + served-vs-plain differential on raw lookups.
   void CheckLookupInvariants() {
     for (size_t i = 0; i < engine->num_cms(); ++i) {
-      const ShardedCorrelationMap& scm = engine->cm(i);
+      const CorrelationMap plain = PlainMirror(*engine, i);
       std::array<CmColumnPredicate, 1> point = {CmColumnPredicate::Points(
           {Key(rng.UniformInt(0, 520)), Key(rng.UniformInt(0, 520))})};
-      const CmLookupResult routed = scm.Lookup(point);
-      const CmLookupResult reference = scm.LookupProbingAllShards(point);
-      ExpectCoalesced(routed);
-      ExpectCoalesced(reference);
-      EXPECT_EQ(routed.ToOrdinals(), reference.ToOrdinals());
+      ExpectServedMatchesPlain(*engine, i, plain, point);
       const int64_t lo = rng.UniformInt(0, 480);
       std::array<CmColumnPredicate, 1> range = {
           CmColumnPredicate::Range(double(lo), double(lo + 40))};
-      ExpectCoalesced(scm.Lookup(range));
+      ExpectServedMatchesPlain(*engine, i, plain, range);
     }
   }
 };
 
+void ExpectServedMatchesPlain(const ServingEngine& engine, size_t i,
+                              const CorrelationMap& plain,
+                              std::span<const CmColumnPredicate> preds) {
+  const CmLookupResult served = engine.cm(i).Lookup(preds);
+  ExpectCoalesced(served);
+  EXPECT_EQ(served.ranges, plain.Lookup(preds).ranges) << "CM " << i;
+}
+
+/// `min_cm_selects` guards CM-arm coverage: seeds meant to exercise it
+/// fail if too few selects actually ran it.
 void RunSequentialFuzz(uint64_t seed, int ops, int base_rows,
-                       ServingOptions::PlanChoice plan_choice =
-                           ServingOptions::PlanChoice::kCostBased) {
+                       DiskModel disk = DiskModel(),
+                       uint64_t min_cm_selects = 0) {
   FuzzHarness h(seed, base_rows, /*reserve_extra=*/size_t(ops) * 400 + 4096,
-                plan_choice);
+                disk);
   uint64_t epochs_seen = h.engine->ReclusterEpoch();
   for (int op = 0; op < ops; ++op) {
     switch (h.rng.UniformInt(0, 9)) {
@@ -244,6 +285,7 @@ void RunSequentialFuzz(uint64_t seed, int ops, int base_rows,
   ASSERT_TRUE(h.engine->CheckInvariants().ok());
   for (int i = 0; i < 12; ++i) h.ExpectProbeEqualsScan(h.RandomQuery());
   h.CheckLookupInvariants();
+  EXPECT_GE(h.cm_selects, min_cm_selects) << "seed " << seed;
 }
 
 TEST(ReclusterFuzzTest, RandomInterleavingsKeepProbeEqualsScan) {
@@ -256,11 +298,13 @@ TEST(ReclusterFuzzTest, RandomInterleavingsKeepProbeEqualsScan) {
 }
 
 TEST(ReclusterFuzzTest, RandomInterleavingsFirstMatchPolicyStaysExact) {
-  // The legacy policy must stay probe==scan-exact too (it is the bench's
-  // A/B baseline).
+  // These seeds once pinned the first-applicable-CM policy so the CM arm
+  // ran on every applicable select. The scan-averse disk now makes the
+  // cost-based choice pick it, and the floor below keeps that coverage
+  // from silently vanishing.
   for (uint64_t seed : {0xA4ull, 0xB5ull}) {
     RunSequentialFuzz(seed, /*ops=*/120, /*base_rows=*/4000,
-                      ServingOptions::PlanChoice::kFirstMatch);
+                      ScanAverseDisk(), /*min_cm_selects=*/25);
   }
 }
 
@@ -372,9 +416,11 @@ struct CrudFuzzHarness {
   std::vector<int64_t> live_ids;  // for O(1) random victim picks
   int64_t next_id = 0;
 
+  /// Selects that ran the CM arm (ExpectThreeWayExact counts them).
+  uint64_t cm_selects = 0;
+
   CrudFuzzHarness(uint64_t seed, int base_rows, size_t reserve_extra,
-                  ServingOptions::PlanChoice plan_choice =
-                      ServingOptions::PlanChoice::kCostBased)
+                  DiskModel disk = DiskModel())
       : rng(seed) {
     Schema schema({ColumnDef::Int64("c"), ColumnDef::Int64("u"),
                    ColumnDef::Int64("v"), ColumnDef::Int64("id")});
@@ -401,7 +447,7 @@ struct CrudFuzzHarness {
     ServingOptions opts;
     opts.num_workers = 1;
     opts.reserve_rows = table->NumRows() + reserve_extra;
-    opts.plan_choice = plan_choice;
+    opts.disk = disk;
     opts.calibration_period = 16;
     engine = std::make_unique<ServingEngine>(table.get(), cidx.get(), opts);
     // Same CM spread as FuzzHarness: unbucketed identity over u, and a
@@ -527,18 +573,14 @@ struct CrudFuzzHarness {
     ASSERT_EQ(probe.num_matches, expected)
         << "engine diverged from the shadow oracle at epoch "
         << probe.recluster_epoch << " plan " << probe.plan;
+    cm_selects += probe.used_cm ? 1 : 0;
   }
 
   void CheckLookupInvariants() {
     for (size_t i = 0; i < engine->num_cms(); ++i) {
-      const ShardedCorrelationMap& scm = engine->cm(i);
       std::array<CmColumnPredicate, 1> point = {CmColumnPredicate::Points(
           {Key(rng.UniformInt(0, 520)), Key(rng.UniformInt(0, 520))})};
-      const CmLookupResult routed = scm.Lookup(point);
-      const CmLookupResult reference = scm.LookupProbingAllShards(point);
-      ExpectCoalesced(routed);
-      ExpectCoalesced(reference);
-      EXPECT_EQ(routed.ToOrdinals(), reference.ToOrdinals());
+      ExpectServedMatchesPlain(*engine, i, PlainMirror(*engine, i), point);
     }
   }
 };
@@ -555,11 +597,11 @@ void ExpectCidxEqualsScratchBuild(const ServingEngine& engine) {
   }
 }
 
+/// `min_cm_selects` as for RunSequentialFuzz.
 void RunCrudFuzz(uint64_t seed, int ops, int base_rows,
-                 ServingOptions::PlanChoice plan_choice =
-                     ServingOptions::PlanChoice::kCostBased) {
+                 DiskModel disk = DiskModel(), uint64_t min_cm_selects = 0) {
   CrudFuzzHarness h(seed, base_rows,
-                    /*reserve_extra=*/size_t(ops) * 300 + 4096, plan_choice);
+                    /*reserve_extra=*/size_t(ops) * 300 + 4096, disk);
   for (int op = 0; op < ops; ++op) {
     switch (h.rng.UniformInt(0, 11)) {
       case 0:
@@ -621,6 +663,7 @@ void RunCrudFuzz(uint64_t seed, int ops, int base_rows,
   ASSERT_TRUE(h.engine->CheckInvariants().ok());
   for (int i = 0; i < 12; ++i) h.ExpectThreeWayExact(h.RandomSpec());
   h.CheckLookupInvariants();
+  EXPECT_GE(h.cm_selects, min_cm_selects) << "seed " << seed;
 }
 
 TEST(CrudFuzzTest, SeededInterleavingsMatchShadowOracleCostBased) {
@@ -631,10 +674,13 @@ TEST(CrudFuzzTest, SeededInterleavingsMatchShadowOracleCostBased) {
 }
 
 TEST(CrudFuzzTest, SeededInterleavingsMatchShadowOracleFirstMatch) {
+  // Seeds that once pinned the first-applicable-CM policy; the
+  // scan-averse disk keeps the CM arm winning, and the floor keeps it
+  // covered.
   for (uint64_t seed : {0x1Aull, 0x2Bull, 0x3Cull, 0x4Dull, 0x5Eull,
                         0x6Full, 0x7Aull}) {
-    RunCrudFuzz(seed, /*ops=*/90, /*base_rows=*/2500,
-                ServingOptions::PlanChoice::kFirstMatch);
+    RunCrudFuzz(seed, /*ops=*/90, /*base_rows=*/2500, ScanAverseDisk(),
+                /*min_cm_selects=*/15);
   }
 }
 
@@ -763,12 +809,10 @@ struct RoutedCrudFuzzHarness {
   std::vector<int64_t> live_ids;
   int64_t next_id = 0;
 
-  /// scatter_budget_ms / visit_delay_us feed the parallel-scatter race
-  /// cases: a nonzero budget exercises the degradation path under
-  /// concurrency, a nonzero per-visit delay stretches each gather so a
-  /// per-shard publish can land inside its window.
+  /// visit_delay_us feeds the parallel-scatter race cases: a nonzero
+  /// per-visit delay stretches each gather so a per-shard publish can
+  /// land inside its window.
   RoutedCrudFuzzHarness(uint64_t seed, int base_rows, size_t reserve_extra,
-                        double scatter_budget_ms = 0,
                         uint64_t visit_delay_us = 0)
       : rng(seed) {
     Schema schema({ColumnDef::Int64("c"), ColumnDef::Int64("u"),
@@ -791,7 +835,6 @@ struct RoutedCrudFuzzHarness {
     opts.engine.num_workers = 1;
     opts.engine.reserve_rows = size_t(base_rows) + reserve_extra;
     opts.engine.calibration_period = 16;
-    opts.scatter_budget_ms = scatter_budget_ms;
     if (visit_delay_us > 0) {
       opts.on_shard_visit = [visit_delay_us](const serve::SelectResult&) {
         std::this_thread::sleep_for(
@@ -1033,11 +1076,10 @@ TEST(RoutedCrudFuzzTest, CrudThroughRouterStaysThreeWayExact) {
 // publishes land inside gather windows instead of between them.
 // ---------------------------------------------------------------------------
 
-void RunParallelScatterFuzz(uint64_t seed, int rounds, int base_rows,
-                            double scatter_budget_ms) {
+void RunParallelScatterFuzz(uint64_t seed, int rounds, int base_rows) {
   RoutedCrudFuzzHarness h(seed, base_rows,
                           /*reserve_extra=*/size_t(rounds) * 2048 + 4096,
-                          scatter_budget_ms, /*visit_delay_us=*/200);
+                          /*visit_delay_us=*/200);
   Rng chaos_rng(seed ^ 0xC4A05);
   for (int round = 0; round < rounds; ++round) {
     // Quiescent CRUD evolves the partition between race windows.
@@ -1076,8 +1118,7 @@ void RunParallelScatterFuzz(uint64_t seed, int rounds, int base_rows,
           const serve::RoutedSelectResult res =
               h.router->ExecuteSelect(specs[pick].query);
           EXPECT_EQ(res.merged.num_matches, expected[pick])
-              << "scatter diverged (visited " << res.shards_visited
-              << ", degraded " << res.shards_degraded << ")";
+              << "scatter diverged (visited " << res.shards_visited << ")";
           reads.fetch_add(1, std::memory_order_relaxed);
         } while (!stop.load(std::memory_order_acquire));
       });
@@ -1108,11 +1149,9 @@ void RunParallelScatterFuzz(uint64_t seed, int rounds, int base_rows,
 }
 
 TEST(RoutedCrudFuzzTest, ParallelScatterRacesReclusterPublishes) {
-  RunParallelScatterFuzz(0xE1, /*rounds=*/3, /*base_rows=*/3000,
-                         /*scatter_budget_ms=*/0);
-  // The budget leg degrades some visits mid-race; counts must hold.
-  RunParallelScatterFuzz(0xE2, /*rounds=*/3, /*base_rows=*/3000,
-                         /*scatter_budget_ms=*/0.05);
+  for (uint64_t seed : {0xE1ull, 0xE2ull}) {
+    RunParallelScatterFuzz(seed, /*rounds=*/3, /*base_rows=*/3000);
+  }
 }
 
 TEST(RoutedCrudFuzzTest, LongParallelScatterInterleavings) {
@@ -1121,8 +1160,7 @@ TEST(RoutedCrudFuzzTest, LongParallelScatterInterleavings) {
                     "CORRMAP_LONG_TESTS) to run the long scatter fuzz";
   }
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RunParallelScatterFuzz(seed * 0x9E37, /*rounds=*/8, /*base_rows=*/5000,
-                           /*scatter_budget_ms=*/seed % 2 == 0 ? 0.05 : 0.0);
+    RunParallelScatterFuzz(seed * 0x9E37, /*rounds=*/8, /*base_rows=*/5000);
   }
 }
 
@@ -1134,7 +1172,7 @@ TEST(CrudFuzzTest, LongCrudInterleavings) {
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     RunCrudFuzz(seed * 0x7f4a, /*ops=*/400, /*base_rows=*/5000);
     RunCrudFuzz(seed * 0x7f4a + 1, /*ops=*/400, /*base_rows=*/5000,
-                ServingOptions::PlanChoice::kFirstMatch);
+                ScanAverseDisk(), /*min_cm_selects=*/50);
   }
 }
 

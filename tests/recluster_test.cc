@@ -442,7 +442,7 @@ TEST(CompactTest, DeleteAfterSuccessorBuildIsReplayedIntoSuccessorCms) {
   EXPECT_EQ(f.engine->ExecuteSelect(eq).num_matches, before - 1);
   const ExecResult scan = FullTableScan(f.engine->table(), eq);
   EXPECT_EQ(scan.NumMatches(), before - 1);
-  // The replay retracted the pair, so the sharded CM's books balance.
+  // The replay retracted the pair, so the CM's books balance.
   EXPECT_TRUE(f.engine->CheckInvariants().ok());
 
   auto drained = f.engine->Compact();

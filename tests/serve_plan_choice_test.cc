@@ -5,8 +5,7 @@
 //       the same epoch snapshot -- both the engine's own PlanSelect
 //       deliberation and, at quiescence, a from-scratch offline Executor
 //       over mirrored structures,
-//   (c) attaching a strictly cheaper CM actually switches the winner
-//       (first-match would have stayed with the incumbent),
+//   (c) attaching a strictly cheaper CM actually switches the winner,
 // plus buffer-pool calibration behavior: residency warms with the
 // workload, prices hot clustered ranges down monotonically, never touches
 // the in-RAM CM probe term, and resets cold across a recluster swap.
@@ -22,6 +21,7 @@
 #include "exec/executor.h"
 #include "exec/plan_choice.h"
 #include "index/clustered_index.h"
+#include "index/secondary_index.h"
 #include "obs/serving_metrics.h"
 #include "serve/serving_engine.h"
 #include "storage/table.h"
@@ -102,6 +102,8 @@ struct PlanWorld {
     return {
         Query({Predicate::Eq(t, "u", Value(777))}),
         Query({Predicate::Between(t, "u", Value(100), Value(140))}),
+        // Fractional endpoints on an integer column round inward.
+        Query({Predicate::Between(t, "u", Value(100.5), Value(140.5))}),
         Query({Predicate::Between(t, "u", Value(0), Value(1900))}),
         Query({Predicate::Eq(t, "c", Value(100))}),
         Query({Predicate::Between(t, "c", Value(40), Value(80))}),
@@ -163,8 +165,8 @@ TEST(ServePlanChoiceTest, MatrixProbeEqualsScanAndEngineMatchesOffline) {
 TEST(ServePlanChoiceTest, EngineMatchesFromScratchOfflineExecutorAtQuiescence) {
   // The strongest parity form: rebuild the deliberation from nothing but
   // the epoch snapshot -- a fresh Executor over the engine's table with
-  // its own ClusteredIndex and plain (unsharded) CMs mirroring the
-  // attached set -- and require the same winner kind and CM slot.
+  // its own ClusteredIndex and plain CMs mirroring the attached set --
+  // and require the same winner kind and CM slot.
   PlanWorld w;
   ASSERT_TRUE(w.AttachIdentityCm(1).ok());
   ASSERT_TRUE(w.AttachIdentityCm(2).ok());
@@ -193,8 +195,7 @@ TEST(ServePlanChoiceTest, EngineMatchesFromScratchOfflineExecutorAtQuiescence) {
   const std::vector<Query> queries = w.QueryMatrix();
   for (const Query& q : queries) {
     const SelectResult probe = w.engine->ExecuteSelect(q);
-    CmLookupCache lookups;
-    const PlanSet offline = ex.Plan(q, &lookups);
+    const PlanSet offline = ex.Plan(q);
     EXPECT_EQ(probe.plan_kind, offline.chosen_plan().kind)
         << "engine chose " << probe.plan << ", offline Executor chose "
         << offline.chosen_plan().description;
@@ -211,7 +212,7 @@ TEST(ServePlanChoiceTest, CheaperCmAttachedSwitchesTheWinner) {
   // (c): with only a coarse (width-200 bucketed) CM over u attached, the
   // CM probe sweeps ~50 clustered values per lookup; attaching an
   // identity CM over the same column must flip the winner to the new
-  // slot. First-match, by construction, stays with slot 0 forever.
+  // slot.
   PlanWorld w;
   ASSERT_TRUE(w.AttachWidthCm(1, 200).ok());
   const Query eq({Predicate::Eq(*w.table, "u", Value(777))});
@@ -226,21 +227,17 @@ TEST(ServePlanChoiceTest, CheaperCmAttachedSwitchesTheWinner) {
   EXPECT_EQ(after.plan_cm_slot, 1u);  // the cheaper newcomer wins
   EXPECT_LT(after.plan_est_ms, before.plan_est_ms);
 
-  w.engine->set_plan_choice(ServingOptions::PlanChoice::kFirstMatch);
-  const SelectResult first_match = w.engine->ExecuteSelect(eq);
-  EXPECT_EQ(first_match.plan_cm_slot, 0u);  // the legacy policy does not
-  w.engine->set_plan_choice(ServingOptions::PlanChoice::kCostBased);
-
-  // All three answered exactly.
+  // Both answered exactly.
   const ExecResult scan = FullTableScan(w.engine->table(), eq);
   EXPECT_EQ(before.num_matches, scan.NumMatches());
   EXPECT_EQ(after.num_matches, scan.NumMatches());
-  EXPECT_EQ(first_match.num_matches, scan.NumMatches());
 }
 
 TEST(ServePlanChoiceTest, ClusteredPredicateBeatsFirstMatchScan) {
-  // A query on the clustered column has no applicable CM: first-match
-  // full-scans, the cost-based engine descends the clustered index.
+  // A query on the clustered column has no applicable CM, so a policy
+  // that only knows CM probes (first match) falls back to a full scan;
+  // the cost-based engine descends the clustered index at a fraction of
+  // the scan's cost.
   PlanWorld w;
   ASSERT_TRUE(w.AttachIdentityCm(1).ok());
   const Query eq({Predicate::Eq(*w.table, "c", Value(123))});
@@ -249,13 +246,9 @@ TEST(ServePlanChoiceTest, ClusteredPredicateBeatsFirstMatchScan) {
   EXPECT_EQ(cost_based.plan_kind, PlanKind::kClusteredRange);
   EXPECT_FALSE(cost_based.used_cm);
 
-  w.engine->set_plan_choice(ServingOptions::PlanChoice::kFirstMatch);
-  const SelectResult first_match = w.engine->ExecuteSelect(eq);
-  EXPECT_EQ(first_match.plan_kind, PlanKind::kSeqScan);
-  w.engine->set_plan_choice(ServingOptions::PlanChoice::kCostBased);
-
-  EXPECT_EQ(cost_based.num_matches, first_match.num_matches);
-  EXPECT_LT(cost_based.simulated_ms, first_match.simulated_ms);
+  const ExecResult scan = FullTableScan(w.engine->table(), eq);
+  EXPECT_EQ(cost_based.num_matches, scan.NumMatches());
+  EXPECT_LT(cost_based.simulated_ms, scan.ms);
 }
 
 TEST(ServePlanChoiceTest, UnpredicatedQueriesStillScanExactly) {
@@ -376,26 +369,6 @@ TEST(ServePlanChoiceTest, PlannerCostsMonotoneInResidencyCmProbeTermFixed) {
             ClusteredRangeCostMs(ctx_at(0.0), cold_ranges, 1));
 }
 
-TEST(ServePlanChoiceTest, PlanChoiceNeverWorseThanFirstMatchOnTheMatrix) {
-  // Per-query A/B on one engine state: the cost-based simulated cost must
-  // never exceed first-match by more than the pool-warmth noise floor.
-  PlanWorld w;
-  ASSERT_TRUE(w.AttachIdentityCm(1).ok());
-  ASSERT_TRUE(w.AttachIdentityCm(2).ok());
-  const std::vector<Query> queries = w.QueryMatrix();
-  for (const Query& q : queries) {
-    w.engine->ResetBufferPool();
-    w.engine->set_plan_choice(ServingOptions::PlanChoice::kFirstMatch);
-    const SelectResult fm = w.engine->ExecuteSelect(q);
-    w.engine->ResetBufferPool();
-    w.engine->set_plan_choice(ServingOptions::PlanChoice::kCostBased);
-    const SelectResult cb = w.engine->ExecuteSelect(q);
-    EXPECT_EQ(cb.num_matches, fm.num_matches);
-    EXPECT_LE(cb.simulated_ms, fm.simulated_ms * 1.01 + 0.1)
-        << "cost-based " << cb.plan << " vs first-match " << fm.plan;
-  }
-}
-
 TEST(ServePlanChoiceTest, SecondaryIndexEntersTheSameDeliberationAsCms) {
   // A secondary index over u competes in the exact same ChooseAccessPlan
   // call as the CM candidates: both kinds must appear, the chosen plan
@@ -433,6 +406,29 @@ TEST(ServePlanChoiceTest, SecondaryIndexWinsNarrowSelectionWithoutACm) {
   const PlanSet offline = w.engine->PlanSelect(q);
   EXPECT_EQ(offline.chosen_plan().kind, PlanKind::kSortedIndex);
   ExpectExactAndParity(w, q);
+}
+
+TEST(ServePlanChoiceTest, SecondaryIndexRidsMatchOfflineScanOnFractionalRange) {
+  // The engine's sorted-index arm and the offline SortedIndexScan collect
+  // rids through one rule: a fractional range on an integer column rounds
+  // inward (u in [776.5, 778.5] probes keys 777..778), so both examine
+  // exactly the same rows.
+  PlanWorld w;
+  ASSERT_TRUE(w.engine->AttachSecondaryIndex({1}).ok());
+  const Query q(
+      {Predicate::Between(*w.table, "u", Value(776.5), Value(778.5))});
+  const SelectResult served = w.engine->ExecuteSelect(q);
+  ASSERT_EQ(served.plan_kind, PlanKind::kSortedIndex);
+
+  SecondaryIndex offline_idx(&w.engine->table(), {1});
+  ASSERT_TRUE(offline_idx.BuildFromTable().ok());
+  ExecOptions eo;
+  eo.degrade_to_scan = false;
+  const ExecResult offline =
+      SortedIndexScan(w.engine->table(), offline_idx, q, eo);
+  EXPECT_EQ(served.num_matches, offline.NumMatches());
+  EXPECT_EQ(served.rows_examined, offline.rows_examined);
+  EXPECT_EQ(served.num_matches, offline.rows_examined);  // no false hits
 }
 
 TEST(ServePlanChoiceTest, SecondaryIndexStaysExactThroughCrudAndRecluster) {

@@ -15,20 +15,20 @@
 
 #include "common/rng.h"
 #include "exec/access_path.h"
+#include "serve/concurrent_cm.h"
 #include "serve/driver.h"
 #include "serve/serving_engine.h"
-#include "serve/sharded_cm.h"
 #include "storage/table.h"
 
 namespace corrmap {
 namespace {
 
+using serve::ConcurrentCorrelationMap;
 using serve::ServingEngine;
 using serve::ServingOptions;
-using serve::ShardedCorrelationMap;
 
 // Modest sizes: TSAN multiplies runtime ~10x and the schedules that matter
-// (reader overlapping writer on one shard) appear within a few thousand
+// (a reader overlapping a writer on the CM) appear within a few thousand
 // operations.
 constexpr int kReaders = 4;
 constexpr int kWriters = 2;
@@ -53,7 +53,7 @@ TEST(ShardedCmStressTest, ConcurrentValueMaintenanceKeepsLookupsSound) {
   opts.u_cols = {1};
   opts.u_bucketers = {Bucketer::Identity()};
   opts.c_col = 0;
-  auto scm = ShardedCorrelationMap::Create(&t, opts, 4);
+  auto scm = ConcurrentCorrelationMap::Create(&t, opts);
   ASSERT_TRUE(scm.ok());
   ASSERT_TRUE(scm->BuildFromTable().ok());
 
@@ -123,12 +123,12 @@ TEST(ShardedCmStressTest, ConcurrentValueMaintenanceKeepsLookupsSound) {
   EXPECT_GT(lookups_done.load(), 0u);
 
   // Quiescence: apply the same scripts serially to the reference, in the
-  // same serialized order the sharded CM actually executed... which is
+  // same serialized order the concurrent CM actually executed... which is
   // unknown. But inserts/deletes of counted pairs commute per (u, c) pair
   // up to NotFound deletes, which the reference must replay identically:
   // a delete that found nothing in the concurrent run may find something
   // in a serial replay. So instead of replaying, compare against the
-  // sharded CM's own serial scan: probe==scan on the merged structure.
+  // concurrent CM's own serial scan: probe==scan on the final structure.
   EXPECT_TRUE(scm->CheckInvariants().ok());
   std::array<CmColumnPredicate, 1> wide = {CmColumnPredicate::Range(0, 1000)};
   const CmLookupResult probe = scm->Lookup(wide);

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -424,8 +425,16 @@ TEST(BufferPoolTest, StatsSnapshotStaysCoherentUnderConcurrentTraffic) {
       }
     });
   }
+  // Take at least 2000 snapshots, and keep taking them until the writers
+  // have churned the pool into evicting: the loop alone can finish before
+  // the writer threads are even scheduled. The deadline turns writers
+  // that never evict into a failure instead of a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
   BufferPoolSnapshot prev;
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < 2000 || prev.stats.evictions == 0; ++i) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "writers caused no eviction";
     const BufferPoolSnapshot snap = pool.StatsSnapshot();
     ASSERT_LE(snap.num_dirty, snap.num_cached);
     ASSERT_LE(snap.num_cached, snap.capacity_pages);
