@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark): raw operation throughput of the
 // core structures -- CM lookup/insert/delete, B+Tree insert/lookup/scan,
-// bucketer mapping, clustered-index probes. These complement the
+// bucketer mapping, clustered-index probes, and the shared row filter
+// every access path re-checks its rows with. These complement the
 // paper-figure benches with wall-clock numbers for the in-memory hot paths.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 
 #include "common/rng.h"
 #include "core/correlation_map.h"
+#include "exec/access_path.h"
 #include "index/btree.h"
 #include "index/clustered_index.h"
 #include "storage/table.h"
@@ -178,6 +181,81 @@ void BM_ClusteredIndexLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ClusteredIndexLookup);
+
+/// Table the filter benches sweep: clustered int `c`, int `u` (soft FD of
+/// c) and a double `price`, with `tombstone_pct` percent of rows deleted.
+std::unique_ptr<Table> MakeFilterTable(size_t rows, int tombstone_pct) {
+  Schema schema({ColumnDef::Int64("c"), ColumnDef::Int64("u"),
+                 ColumnDef::Double("price")});
+  auto t = std::make_unique<Table>("f", std::move(schema));
+  Rng rng(10);
+  t->Reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    const int64_t u = rng.UniformInt(0, 9999);
+    const std::array<Key, 3> row = {Key(u / 8 + rng.UniformInt(0, 1)),
+                                    Key(u), Key(rng.UniformDouble(0, 1000))};
+    t->AppendRowKeys(row);
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.UniformInt(0, 99) < tombstone_pct) (void)t->DeleteRow(RowId(r));
+  }
+  return t;
+}
+
+/// ns/row of one FilterRowRange call, counts only (what a serving select
+/// collects). Args: rows swept (a 4000-row tail at the end of a
+/// 100k-row table, or all 100k rows), predicate (0 = a 5% price range,
+/// 1 = a u point), percent of rows tombstoned.
+void BM_FilterRowRange(benchmark::State& state) {
+  constexpr size_t kRows = 100000;
+  auto t = MakeFilterTable(kRows, int(state.range(2)));
+  const size_t swept = size_t(state.range(0));
+  const RowRange range{RowId(kRows - swept), RowId(kRows)};
+  const Query q = state.range(1) == 0
+                      ? Query({Predicate::Between(*t, "price", Value(400.0),
+                                                  Value(450.0))})
+                      : Query({Predicate::Eq(*t, "u", Value(int64_t{4242}))});
+  for (auto _ : state) {
+    RowFilterCounts counts;
+    FilterRowRange(*t, q, range, &counts);
+    benchmark::DoNotOptimize(counts);
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      double(swept),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FilterRowRange)
+    ->ArgNames({"rows", "point", "dead_pct"})
+    ->Args({4000, 0, 0})
+    ->Args({4000, 1, 0})
+    ->Args({4000, 0, 5})
+    ->Args({100000, 0, 0})
+    ->Args({100000, 1, 0})
+    ->Args({100000, 0, 5});
+
+/// ns/rid of FilterRidList over 4096 sorted random rids (a sorted
+/// secondary-index sweep) with the price range predicate, 5% tombstoned.
+void BM_FilterRidList(benchmark::State& state) {
+  constexpr size_t kRows = 100000;
+  auto t = MakeFilterTable(kRows, 5);
+  Rng rng(11);
+  std::vector<RowId> rids(4096);
+  for (RowId& r : rids) r = RowId(rng.UniformInt(0, int64_t(kRows) - 1));
+  std::sort(rids.begin(), rids.end());
+  const Query q({Predicate::Between(*t, "price", Value(400.0),
+                                    Value(450.0))});
+  for (auto _ : state) {
+    RowFilterCounts counts;
+    FilterRidList(*t, q, rids, &counts);
+    benchmark::DoNotOptimize(counts);
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      double(rids.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FilterRidList);
 
 }  // namespace
 }  // namespace corrmap

@@ -1,6 +1,7 @@
 #include "exec/access_path.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -295,6 +296,181 @@ std::vector<RowId> SecondaryIndexRids(const Table& table,
   return rids;
 }
 
+namespace {
+
+/// One predicate resolved against its column's typed slot array, so the
+/// filter's inner loops test raw int64/double slots instead of building a
+/// Key per row. Each kernel gives exactly Predicate::MatchesKey's answer;
+/// a shape without one (kIn on a double column) keeps MatchesKey itself.
+struct TypedPredicate {
+  enum class Kernel : uint8_t {
+    kIntRange,     ///< double(slot) in [lo, hi], as Key::Numeric widens
+    kDoubleRange,  ///< slot in [lo, hi]
+    kIntEq,        ///< slot == int_key
+    kDoubleEq,     ///< slot == double_key (NaN never, -0.0 == 0.0)
+    kIntIn,        ///< slot in int_keys (binary search)
+    kNever,        ///< key type differs from the column's: Key== is false
+    kGeneric,      ///< Predicate::MatchesKey on the row's Key
+  };
+  Kernel kernel = Kernel::kGeneric;
+  const int64_t* ints = nullptr;
+  const double* doubles = nullptr;
+  double lo = 0;
+  double hi = 0;
+  int64_t int_key = 0;
+  double double_key = 0;
+  std::vector<int64_t> int_keys;  ///< ascending
+  const Predicate* pred = nullptr;
+  const Column* column = nullptr;
+};
+
+TypedPredicate CompilePredicate(const Table& table, const Predicate& p) {
+  using Kernel = TypedPredicate::Kernel;
+  TypedPredicate t;
+  t.column = &table.column(p.column());
+  t.pred = &p;
+  t.ints = t.column->int_data();
+  t.doubles = t.column->double_data();
+  const bool dbl = t.column->type() == ValueType::kDouble;
+  switch (p.op()) {
+    case Predicate::Op::kRange:
+      t.kernel = dbl ? Kernel::kDoubleRange : Kernel::kIntRange;
+      t.lo = p.lo();
+      t.hi = p.hi();
+      break;
+    case Predicate::Op::kEq: {
+      const Key& k = p.keys()[0];
+      if (k.is_double() != dbl) {
+        t.kernel = Kernel::kNever;
+      } else if (dbl) {
+        t.kernel = Kernel::kDoubleEq;
+        t.double_key = k.AsDouble();
+      } else {
+        t.kernel = Kernel::kIntEq;
+        t.int_key = k.AsInt64();
+      }
+      break;
+    }
+    case Predicate::Op::kIn:
+      if (dbl) break;  // kGeneric
+      t.kernel = Kernel::kIntIn;
+      // The keys are sorted as Keys, which order int64 before double:
+      // the int64 ones form an ascending prefix, and a double key never
+      // equals an int64 slot.
+      for (const Key& k : p.keys()) {
+        if (!k.is_double()) t.int_keys.push_back(k.AsInt64());
+      }
+      break;
+  }
+  return t;
+}
+
+/// Bit i set iff test(v[i]), for i in [first, last) of one 64-row block;
+/// only slots inside [first, last) are read. A full block tests into a
+/// byte array first (a constant-trip loop with no loop-carried state),
+/// then packs each 8 bytes of 0/1 with one multiply: 0x0102040810204080
+/// moves byte b's bit to bit 56 + b with no carries between terms.
+template <typename T, typename Test>
+uint64_t MaskOf(const T* v, unsigned first, unsigned last, Test test) {
+  uint64_t m = 0;
+  if (first == 0 && last == 64) {
+    uint8_t hit[64];
+    for (unsigned i = 0; i < 64; ++i) hit[i] = uint8_t(test(v[i]));
+    for (unsigned j = 0; j < 8; ++j) {
+      uint64_t x = 0;
+      for (unsigned b = 0; b < 8; ++b) x |= uint64_t(hit[8 * j + b]) << (8 * b);
+      m |= ((x * 0x0102040810204080ULL) >> 56) << (8 * j);
+    }
+    return m;
+  }
+  for (unsigned i = first; i < last; ++i) m |= uint64_t(test(v[i])) << i;
+  return m;
+}
+
+/// Bits [first, last) of the block starting at row `base`: which of its
+/// rows satisfy `t`.
+uint64_t BlockMask(const TypedPredicate& t, RowId base, unsigned first,
+                   unsigned last) {
+  using Kernel = TypedPredicate::Kernel;
+  switch (t.kernel) {
+    case Kernel::kIntRange: {
+      const double lo = t.lo, hi = t.hi;
+      return MaskOf(t.ints + base, first, last, [lo, hi](int64_t x) {
+        const double v = double(x);
+        return (v >= lo) & (v <= hi);
+      });
+    }
+    case Kernel::kDoubleRange: {
+      const double lo = t.lo, hi = t.hi;
+      return MaskOf(t.doubles + base, first, last,
+                    [lo, hi](double v) { return (v >= lo) & (v <= hi); });
+    }
+    case Kernel::kIntEq: {
+      const int64_t k = t.int_key;
+      return MaskOf(t.ints + base, first, last,
+                    [k](int64_t x) { return x == k; });
+    }
+    case Kernel::kDoubleEq: {
+      const double k = t.double_key;
+      return MaskOf(t.doubles + base, first, last,
+                    [k](double v) { return v == k; });
+    }
+    case Kernel::kIntIn:
+      return MaskOf(t.ints + base, first, last, [&t](int64_t x) {
+        return std::binary_search(t.int_keys.begin(), t.int_keys.end(), x);
+      });
+    case Kernel::kNever:
+      return 0;
+    case Kernel::kGeneric:
+      break;
+  }
+  uint64_t m = 0;
+  for (unsigned i = first; i < last; ++i) {
+    m |= uint64_t(t.pred->MatchesKey(t.column->GetKey(base + i))) << i;
+  }
+  return m;
+}
+
+/// One row against `t` (the rid-list filter's test): BlockMask's kernels
+/// for a single slot. Routing rids through a one-lane BlockMask instead
+/// cost the range filter its inlining of BlockMask (about 1.9 -> 2.3
+/// ns/row in bench_micro_structures).
+bool RowMatches(const TypedPredicate& t, RowId r) {
+  using Kernel = TypedPredicate::Kernel;
+  switch (t.kernel) {
+    case Kernel::kIntRange: {
+      const double v = double(t.ints[r]);
+      return v >= t.lo && v <= t.hi;
+    }
+    case Kernel::kDoubleRange:
+      return t.doubles[r] >= t.lo && t.doubles[r] <= t.hi;
+    case Kernel::kIntEq:
+      return t.ints[r] == t.int_key;
+    case Kernel::kDoubleEq:
+      return t.doubles[r] == t.double_key;
+    case Kernel::kIntIn:
+      return std::binary_search(t.int_keys.begin(), t.int_keys.end(),
+                                t.ints[r]);
+    case Kernel::kNever:
+      return false;
+    case Kernel::kGeneric:
+      break;
+  }
+  return t.pred->MatchesKey(t.column->GetKey(r));
+}
+
+std::vector<TypedPredicate> CompileQuery(const Table& table,
+                                         const Query& query) {
+  std::vector<TypedPredicate> out;
+  out.reserve(query.predicates().size());
+  for (const Predicate& p : query.predicates()) {
+    out.push_back(CompilePredicate(table, p));
+  }
+  return out;
+}
+
+}  // namespace
+
 void FilterRowRange(const Table& table, const Query& query, RowRange range,
                     RowFilterCounts* counts, std::vector<RowId>* matches,
                     std::vector<PageNo>* pages) {
@@ -305,14 +481,30 @@ void FilterRowRange(const Table& table, const Query& query, RowRange range,
     for (PageNo p = first; p <= last; ++p) pages->push_back(p);
   }
   counts->examined += uint64_t(range.end - range.begin);
-  for (RowId r = range.begin; r < range.end; ++r) {
-    if (table.IsDeleted(r)) {
-      ++counts->dead;
-      continue;
+  const std::vector<TypedPredicate> preds = CompileQuery(table, query);
+  // Blocks align with tombstone words; only the first and last can be
+  // partial, and `lane` keeps every row outside the range out of the
+  // counts and off the column arrays.
+  for (RowId base = range.begin & ~RowId{63}; base < range.end; base += 64) {
+    const unsigned first =
+        range.begin > base ? unsigned(range.begin - base) : 0u;
+    const unsigned last = unsigned(std::min<RowId>(range.end - base, 64));
+    const uint64_t lane = (last == 64 ? ~uint64_t{0}
+                                      : (uint64_t{1} << last) - 1) &
+                          (~uint64_t{0} << first);
+    const uint64_t dead = table.TombstoneWord(size_t(base >> 6)) & lane;
+    uint64_t live = lane & ~dead;
+    for (const TypedPredicate& p : preds) {
+      if (live == 0) break;
+      live &= BlockMask(p, base, first, last);
     }
-    if (!query.Matches(table, r)) continue;
-    ++counts->matches;
-    if (matches != nullptr) matches->push_back(r);
+    counts->dead += uint64_t(std::popcount(dead));
+    counts->matches += uint64_t(std::popcount(live));
+    if (matches != nullptr) {
+      for (; live != 0; live &= live - 1) {
+        matches->push_back(base + RowId(std::countr_zero(live)));
+      }
+    }
   }
 }
 
@@ -320,13 +512,17 @@ void FilterRidList(const Table& table, const Query& query,
                    std::span<const RowId> rids, RowFilterCounts* counts,
                    std::vector<RowId>* matches, std::vector<PageNo>* pages) {
   counts->examined += rids.size();
+  const std::vector<TypedPredicate> preds = CompileQuery(table, query);
   for (const RowId r : rids) {
     if (pages != nullptr) pages->push_back(table.layout().PageOfRow(r));
     if (table.IsDeleted(r)) {
       ++counts->dead;
       continue;
     }
-    if (!query.Matches(table, r)) continue;
+    const bool match =
+        std::all_of(preds.begin(), preds.end(),
+                    [r](const TypedPredicate& p) { return RowMatches(p, r); });
+    if (!match) continue;
     ++counts->matches;
     if (matches != nullptr) matches->push_back(r);
   }

@@ -1,5 +1,6 @@
 #include "serve/durability.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -239,33 +240,29 @@ void Durability::Crash(size_t torn_tail_bytes) {
   ops_since_flush_ = 0;
 }
 
-std::vector<WalRecord> Durability::CommittedTail() const {
+std::vector<WalRecord> Durability::CommittedTail(
+    size_t* uncommitted_dropped) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<WalRecord> committed = wal_.CommittedRecords();
+  if (uncommitted_dropped != nullptr) {
+    auto is_row_op = [](const WalRecord& r) {
+      return r.type == WalRecordType::kRowAppend ||
+             r.type == WalRecordType::kRowDelete ||
+             r.type == WalRecordType::kRowUpdate;
+    };
+    const auto& log = wal_.durable_records();
+    *uncommitted_dropped =
+        size_t(std::count_if(log.begin(), log.end(), is_row_op) -
+               std::count_if(committed.begin(), committed.end(), is_row_op));
+  }
   // Replay starts after the LAST durable checkpoint marker (normally the
   // log head, since Checkpoint truncates through itself).
   size_t start = 0;
   for (size_t i = 0; i < committed.size(); ++i) {
     if (committed[i].type == WalRecordType::kCheckpoint) start = i + 1;
   }
-  return {committed.begin() + ptrdiff_t(start), committed.end()};
-}
-
-size_t Durability::UncommittedDurableRecords() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t data = 0;
-  for (const WalRecord& r : wal_.durable_records()) {
-    if (r.type == WalRecordType::kRowAppend ||
-        r.type == WalRecordType::kRowDelete ||
-        r.type == WalRecordType::kRowUpdate) {
-      ++data;
-    }
-  }
-  size_t committed_data = 0;
-  for (const WalRecord& r : wal_.CommittedRecords()) {
-    if (r.type != WalRecordType::kCheckpoint) ++committed_data;
-  }
-  return data - committed_data;
+  committed.erase(committed.begin(), committed.begin() + ptrdiff_t(start));
+  return committed;
 }
 
 // --- Introspection ---------------------------------------------------------

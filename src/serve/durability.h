@@ -117,12 +117,13 @@ class Durability {
 
   /// The committed row-op records after the last durable checkpoint, in
   /// log order -- exactly what ServingEngine::Recover replays. Records of
-  /// txns without a durable kCommit marker are excluded (satellite: a
-  /// prepared-but-uncommitted txn must not be replayed).
-  std::vector<WalRecord> CommittedTail() const;
-
-  /// Durable data records dropped by commit filtering (for RecoveryStats).
-  size_t UncommittedDurableRecords() const;
+  /// txns without a durable kCommit marker are excluded (a
+  /// prepared-but-uncommitted txn must not be replayed); when
+  /// `uncommitted_dropped` is non-null it gets how many durable row-op
+  /// records that filter dropped (RecoveryStats), from the same single
+  /// commit resolution.
+  std::vector<WalRecord> CommittedTail(
+      size_t* uncommitted_dropped = nullptr) const;
 
   // --- Introspection ------------------------------------------------------
 

@@ -163,9 +163,17 @@ Status ServingEngine::AttachSecondaryIndex(std::vector<size_t> columns) {
   return Status::OK();
 }
 
+ServingEngine::EpochState::~EpochState() {
+  if (pool == nullptr) return;
+  pool->ForgetFile(heap_file);
+  pool->ForgetFile(cidx_file);
+  for (const uint32_t f : sidx_files) pool->ForgetFile(f);
+}
+
 void ServingEngine::InitEpochCalibration(EpochState* st) const {
   st->calibration = std::make_unique<CalibrationCell>();
   if (pool_ == nullptr) return;
+  st->pool = pool_;
   st->heap_file = pool_->RegisterFile();
   st->cidx_file = pool_->RegisterFile();
   st->sidx_files.resize(st->sidx.size());
@@ -1013,7 +1021,7 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
   // did pre-crash. Row ids re-land deterministically: appends take
   // consecutive ids from the row count, which starts at the checkpoint's
   // count and is advanced only by these replayed records.
-  for (const WalRecord& rec : d->CommittedTail()) {
+  for (const WalRecord& rec : d->CommittedTail(&stats.uncommitted_dropped)) {
     ++stats.records_scanned;
     switch (rec.type) {
       case WalRecordType::kRowAppend: {
@@ -1056,7 +1064,6 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
         break;
     }
   }
-  stats.uncommitted_dropped = d->UncommittedDurableRecords();
 
   // 5. Re-attach durability and re-arm the background triggers. No fresh
   // checkpoint is needed: replay never permuted ids, so the existing

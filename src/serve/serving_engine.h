@@ -472,6 +472,13 @@ class ServingEngine {
   /// the predecessor dies with its last reader. Epoch 0 borrows the
   /// caller's table/cidx; successors own theirs.
   struct EpochState {
+    EpochState() = default;
+    EpochState(const EpochState&) = delete;
+    EpochState& operator=(const EpochState&) = delete;
+    /// Releases this epoch's pool files (BufferPool::ForgetFile): once the
+    /// last reader drops the state nothing touches them again.
+    ~EpochState();
+
     uint64_t version = 0;
     Table* table = nullptr;
     const ClusteredIndex* cidx = nullptr;
@@ -490,6 +497,9 @@ class ServingEngine {
     /// selects).
     uint32_t heap_file = 0;
     uint32_t cidx_file = 0;
+    /// The pool the files above belong to (null when pool-less); it
+    /// outlives every epoch state of the engine.
+    BufferPool* pool = nullptr;
     std::unique_ptr<CalibrationCell> calibration;
     /// Attached secondary indexes (attach order), each covering exactly
     /// the clustered region [0, clustered_boundary) of THIS epoch and

@@ -229,9 +229,11 @@ class ShardRouter {
 
   size_t c_col_ = 0;
   std::vector<Key> splits_;
-  std::vector<Shard> shards_;
+  /// Declared before shards_ so they outlive the engines: a shard's
+  /// epoch states release their pool files as they are destroyed.
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<SharedLookupCache> cache_;
+  std::vector<Shard> shards_;
   obs::ServingMetrics* metrics_ = nullptr;
   std::vector<std::string> gauge_names_;
   /// Shards own worker pools (engine.num_workers > 0): scatter tasks ride

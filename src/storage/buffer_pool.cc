@@ -169,11 +169,10 @@ FileResidency BufferPool::ResidencyOf(uint32_t file,
   // did.
   FileResidency out;
   double hits = 0, misses = 0;
-  const uint64_t file_tag = uint64_t(file) << 40;
   for (const Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mu);
     for (const auto& [key, fc] : s.extent_counters) {
-      if ((key & ~uint64_t(0xff'ffff'ffff)) != file_tag) continue;
+      if (!KeyOfFile(key, file)) continue;
       hits += fc.decayed_hits;
       misses += fc.decayed_misses;
       out.resident_pages += fc.resident_pages;
@@ -228,6 +227,23 @@ void BufferPool::EvictOne(Stripe& s) {
   if (fc != s.extent_counters.end() && fc->second.resident_pages > 0) {
     --fc->second.resident_pages;
   }
+}
+
+void BufferPool::ForgetFile(uint32_t file) {
+  for (Stripe& s : stripes_) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    std::erase_if(s.extent_counters,
+                  [file](const auto& kv) { return KeyOfFile(kv.first, file); });
+  }
+}
+
+size_t BufferPool::NumExtentCounters() const {
+  size_t n = 0;
+  for (const Stripe& s : stripes_) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    n += s.extent_counters.size();
+  }
+  return n;
 }
 
 void BufferPool::FlushAll() {

@@ -129,6 +129,18 @@ class BufferPool {
   /// extent `extent` (pages [extent*kExtentPages, ...)) of `file` alone.
   FileResidency ResidencyOfExtent(uint32_t file, uint64_t extent) const;
 
+  /// Drops `file`'s per-extent residency counters once the file is
+  /// retired (the serving engine calls it as an epoch's state dies). Its
+  /// frames stay and age out through the LRU; evicting one finds no
+  /// counter and recreates none. Hit, miss and eviction counts are
+  /// untouched.
+  void ForgetFile(uint32_t file);
+
+  /// (file, extent) residency counters currently held, summed over the
+  /// stripes: bounded by the live files' extents once retired files are
+  /// forgotten.
+  size_t NumExtentCounters() const;
+
   /// Writes back all dirty pages (checkpoint), charging one write each.
   void FlushAll();
 
@@ -191,6 +203,9 @@ class BufferPool {
 
   static uint64_t ExtentKey(uint32_t file, uint64_t extent) {
     return (uint64_t(file) << 40) ^ extent;
+  }
+  static bool KeyOfFile(uint64_t key, uint32_t file) {
+    return (key & ~uint64_t(0xff'ffff'ffff)) == uint64_t(file) << 40;
   }
 
   Stripe& StripeOf(PageId page) {

@@ -52,6 +52,14 @@ class Column {
   int64_t GetInt64(RowId row) const { return ints_[row]; }
   double GetDouble(RowId row) const { return doubles_[row]; }
 
+  /// Raw slot arrays for block-at-a-time readers (int64 and string codes
+  /// share int_data; doubles have double_data; the other is empty). Only
+  /// slots below a NumRows() bound may be read, and the pointer stays
+  /// valid only while the column does not reallocate -- the same contract
+  /// as GetKey (see the file-level comment).
+  const int64_t* int_data() const { return ints_.data(); }
+  const double* double_data() const { return doubles_.data(); }
+
   /// Physical key (dict code for strings).
   Key GetKey(RowId row) const {
     return type_ == ValueType::kDouble ? Key(doubles_[row]) : Key(ints_[row]);
@@ -142,6 +150,10 @@ class Table {
   /// exactly like a column reallocation would).
   Status DeleteRow(RowId row);
   bool IsDeleted(RowId row) const { return deleted_.Test(row); }
+  /// Tombstone bits of rows [64 * w, 64 * w + 64), bit i for row
+  /// 64 * w + i: one acquire load, the ordering IsDeleted uses. Words
+  /// past the bitmap's capacity read 0 (see TombstoneBitmap::Word).
+  uint64_t TombstoneWord(size_t w) const { return deleted_.Word(w); }
 
   const Column& column(size_t i) const { return cols_[i]; }
   Column& column_mutable(size_t i) { return cols_[i]; }

@@ -54,6 +54,14 @@ class TombstoneBitmap {
     return (words_[w].load(std::memory_order_acquire) >> (row & 63)) & 1;
   }
 
+  /// Bits of rows [64 * w, 64 * w + 64) in one acquire load (bit i is row
+  /// 64 * w + i), so block readers test 64 rows with the ordering Test
+  /// gives one. Words past the capacity read 0, like Test.
+  uint64_t Word(size_t w) const {
+    if (w >= num_words_) return 0;
+    return words_[w].load(std::memory_order_acquire);
+  }
+
   /// Marks `row` deleted; returns whether it already was. Requires
   /// row < capacity_rows(). Safe against concurrent Test and Set.
   bool Set(RowId row) {

@@ -144,16 +144,17 @@ bool WriteAheadLog::TruncateThrough(uint64_t checkpoint_id) {
 }
 
 std::vector<WalRecord> WriteAheadLog::CommittedRecords() const {
-  // Pass 1: which txns have a durable commit marker.
+  // Pass 1: which txns have a durable commit marker, sorted so each data
+  // record resolves in O(log commits) whatever order txn ids arrive in.
   std::vector<uint64_t> committed;
   for (const WalRecord& r : durable_) {
     if (r.type == WalRecordType::kCommit) committed.push_back(r.txn_id);
   }
+  std::sort(committed.begin(), committed.end());
+  committed.erase(std::unique(committed.begin(), committed.end()),
+                  committed.end());
   auto is_committed = [&](uint64_t txn) {
-    for (uint64_t t : committed) {
-      if (t == txn) return true;
-    }
-    return false;
+    return std::binary_search(committed.begin(), committed.end(), txn);
   };
   // Pass 2: data records of committed txns, in log order. Checkpoints are
   // not txn-scoped and always pass through; markers never do.

@@ -140,7 +140,8 @@ struct ReclusterEngineFixture {
   std::unique_ptr<ServingEngine> engine;
 
   explicit ReclusterEngineFixture(size_t reserve_extra = 50000,
-                                  size_t recluster_tail_rows = 0) {
+                                  size_t recluster_tail_rows = 0,
+                                  DiskModel disk = {}) {
     table = CorrelatedTable(20000, 109);
     auto ci = ClusteredIndex::Build(*table, 0);
     EXPECT_TRUE(ci.ok());
@@ -149,6 +150,7 @@ struct ReclusterEngineFixture {
     opts.num_workers = 2;
     opts.reserve_rows = table->NumRows() + reserve_extra;
     opts.recluster_tail_rows = recluster_tail_rows;
+    opts.disk = disk;
     engine = std::make_unique<ServingEngine>(table.get(), cidx.get(), opts);
     CmOptions copts;
     copts.u_cols = {1};
@@ -251,6 +253,34 @@ TEST(ReclusterTest, UnbucketedCmsAreSnapshotCopiedNotRehashed) {
   f.ExpectProbeEqualsScan(eq);
   f.ExpectProbeEqualsScan(
       Query({Predicate::Between(*f.table, "u", Value(150), Value(260))}));
+}
+
+TEST(ReclusterTest, RetiredEpochsReleaseTheirResidencyCounters) {
+  // Every pass registers fresh heap and clustered-index files with the
+  // pool. The retired epoch's extent counters must die with it, or every
+  // residency lookup scans a map that grows with each pass. A scan-averse
+  // disk keeps the small table's selects on the CM probe, which touches
+  // pool pages (a sequential scan prices without the pool).
+  ReclusterEngineFixture f(50000, 0,
+                           DiskModel(/*seek_ms=*/0.01, /*seq_page_ms=*/5.0));
+  const BufferPool* pool = f.engine->pool();
+  ASSERT_NE(pool, nullptr);
+  const Query eq({Predicate::Eq(*f.table, "u", Value(321))});
+  size_t after_first = 0;
+  for (int pass = 0; pass < 20; ++pass) {
+    ASSERT_TRUE(f.engine->ApplyAppend(f.MakeRows(200, 300 + pass)).ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(f.engine->ExecuteSelect(eq).used_cm);
+    }
+    auto stats = f.engine->Recluster();
+    ASSERT_TRUE(stats.ok());
+    ASSERT_TRUE(stats->performed());
+    (void)f.engine->ExecuteSelect(eq);  // touch the successor's files
+    if (pass == 0) after_first = pool->NumExtentCounters();
+  }
+  ASSERT_GT(after_first, 0u);
+  EXPECT_LE(pool->NumExtentCounters(), 2 * after_first);
+  EXPECT_TRUE(f.engine->CheckInvariants().ok());
 }
 
 TEST(ReclusterTest, EmptyTailIsANoOp) {

@@ -142,6 +142,33 @@ TEST(WalCommittedTest, UncommittedTxnIsNeverReplayed) {
   EXPECT_EQ(wal.durable_records().size(), 5u);
 }
 
+TEST(WalCommittedTest, OutOfOrderInterleavedTxnsResolveByCommitMarker) {
+  // Txn ids arrive out of order and interleave, commits land in another
+  // order, one txn commits twice, one is only prepared, one has no marker
+  // at all, and one data record follows its own commit marker.
+  WriteAheadLog wal;
+  wal.Append(Rec(WalRecordType::kRowAppend, 9, "a9"));
+  wal.Append(Rec(WalRecordType::kRowAppend, 4, "a4"));
+  wal.Append(Rec(WalRecordType::kRowDelete, 2, "d2"));
+  wal.Append(Rec(WalRecordType::kPrepare, 4, ""));
+  wal.Append(Rec(WalRecordType::kRowUpdate, 9, "u9"));
+  wal.Append(Rec(WalRecordType::kCommit, 2, ""));
+  wal.Append(Rec(WalRecordType::kCmInsert, 7, "c7"));
+  wal.Append(Rec(WalRecordType::kCommit, 9, ""));
+  wal.Append(Rec(WalRecordType::kRowAppend, 2, "a2-late"));
+  wal.Append(Rec(WalRecordType::kCommit, 2, ""));
+  wal.Append(Rec(WalRecordType::kCmDelete, 1, "c1"));
+  wal.Append(Rec(WalRecordType::kCommit, 1, ""));
+  wal.Flush();
+  wal.LogCheckpoint("ckpt");
+
+  std::vector<std::string> got;
+  for (const WalRecord& r : wal.CommittedRecords()) got.push_back(r.payload);
+  const std::vector<std::string> want = {"a9", "d2", "u9", "a2-late", "c1",
+                                         "ckpt"};
+  EXPECT_EQ(got, want);
+}
+
 TEST(WalIoTest, FlushCarriesTailPageFillAcrossFlushes) {
   WriteAheadLog wal(8192);
   // Flush 1: 8000 bytes -> 1 page, leaving the tail page 8000/8192 full.
@@ -245,6 +272,27 @@ TEST(DurabilityTest, CrashLosesOnlyTheOpenBatch) {
   for (const WalRecord& r : tail) {
     EXPECT_EQ(r.type, WalRecordType::kRowAppend);
   }
+}
+
+TEST(DurabilityTest, TornCommitMarkerDropsItsOpFromTheTail) {
+  serve::DurabilityOptions opts;
+  opts.group_commit_ops = 1;
+  serve::Durability d(opts);
+  Table t("t", Schema({ColumnDef::Int64("v")}));
+  FillOneColumn(&t, 8);
+  d.Checkpoint(t, RowId(t.NumRows()), 0);
+  const std::vector<std::vector<Key>> one = {{Key(int64_t{1})}};
+  for (int i = 0; i < 3; ++i) d.LogAppend(RowId(8 + i), one);
+  // Tear into the last flush's commit marker (an empty-payload frame):
+  // the op's data record stays durable but its txn no longer commits.
+  d.Crash(kWalRecordHeaderBytes / 2);
+  size_t dropped = 0;
+  const std::vector<WalRecord> tail = d.CommittedTail(&dropped);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(dropped, 1u);
+  serve::Durability::AppendOp op;
+  ASSERT_TRUE(serve::Durability::DecodeAppend(tail[1].payload, &op));
+  EXPECT_EQ(op.first_row, 9u);
 }
 
 TEST(DurabilityTest, CheckpointSnapshotsAndTruncates) {
