@@ -56,29 +56,18 @@ double CostModel::RunResidency(std::span<const double> extent_hit_rates,
 }
 
 double CostModel::ScanCost(const CostInputs& in) const {
-  return EffectiveSeqPageMs(in.heap_residency) * in.TotalPages();
+  return disk_.seq_page_ms() * in.TotalPages();
 }
 
 double CostModel::PipelinedCost(const CostInputs& in) const {
-  // The per-tuple random heap fetches dominate this path, so the heap's
-  // residency is the one that discounts it.
-  return in.n_lookups * in.u_tups * EffectiveSeekMs(in.heap_residency) *
-         in.btree_height;
+  return in.n_lookups * in.u_tups * disk_.seek_ms() * in.btree_height;
 }
 
 double CostModel::SortedCost(const CostInputs& in) const {
-  // Descents walk the secondary index (index residency); the c_pages sweep
-  // reads heap pages (heap residency). The §4.1 degrade-to-scan cap is
-  // priced COLD regardless of residency: the fallback the bound models is
-  // an executed full sweep, which reads around the buffer pool
-  // (MaybeDegradeToScan charges exactly that), so a warm pool must never
-  // let a capped candidate undercut the seq-scan plan it would execute as.
   const double per_lookup =
-      in.c_per_u * (EffectiveSeekMs(in.index_residency) * in.btree_height +
-                    EffectiveSeqPageMs(in.heap_residency) * in.CPages());
-  CostInputs cold = in;
-  cold.heap_residency = 0;
-  return std::min(in.n_lookups * per_lookup, ScanCost(cold));
+      in.c_per_u * (disk_.seek_ms() * in.btree_height +
+                    disk_.seq_page_ms() * in.CPages());
+  return std::min(in.n_lookups * per_lookup, ScanCost(in));
 }
 
 double CostModel::CmCost(const CostInputs& in, uint64_t cm_pages,

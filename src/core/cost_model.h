@@ -22,18 +22,6 @@ struct CostInputs {
   double u_tups = 0;         ///< avg tuples per Au value
   double c_tups = 0;         ///< avg tuples per Ac value (Table 2)
   double c_per_u = 1;        ///< avg distinct Ac values per Au value (Table 2)
-  /// Buffer-pool calibration: the decayed fraction of heap (resp. index)
-  /// page touches that currently hit the buffer pool, published by the
-  /// storage layer (BufferPool::ResidencyOf). 0 -- the paper's cold-cache
-  /// assumption and the historical behavior of every formula below --
-  /// charges full device cost per page; 1 prices the access near pure CPU
-  /// cost (the Fig. 9 hot-clustered-range case the model used to
-  /// over-charge). Values are clamped to [0, 1]. When the storage layer
-  /// publishes extent-granular residency (BufferPool::ResidencyOfExtent),
-  /// the plan enumeration refines these per-file scalars per candidate via
-  /// CostModel::RunResidency over the candidate's actual page runs.
-  double heap_residency = 0;
-  double index_residency = 0;
 
   /// Heap pages ("p" in §3).
   double TotalPages() const {
@@ -80,7 +68,12 @@ class CostModel {
   /// Same blend for a random repositioning: seek_ms*(1-r)+kResidentSeekMs*r.
   double EffectiveSeekMs(double residency) const;
 
-  /// cost_scan = seq_page_cost * p (§3), at CostInputs::heap_residency.
+  /// The §3/§4 formulas below price every page at device cost -- the
+  /// paper's cold-cache assumption. Buffer-pool residency enters serving
+  /// plan costs in exec/plan_choice.h (PlanContext), through
+  /// EffectiveSeqPageMs / EffectiveSeekMs / RunResidency above.
+  ///
+  /// cost_scan = seq_page_cost * p (§3).
   double ScanCost(const CostInputs& in) const;
 
   /// cost_uncorrelated = n_lookups * u_tups * seek_cost * btree_height

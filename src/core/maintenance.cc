@@ -141,8 +141,7 @@ ExecResult MaintenanceDriver::SelectViaBTree(const SecondaryIndex& index,
   PageNo last = PageNo(-1);
   for (const PageNo p : pages) {
     if (p == last) continue;
-    if (!pool_->IsCached(PageId{heap_file_, p})) missed.push_back(p);
-    pool_->Admit(PageId{heap_file_, p}, /*mark_dirty=*/false);
+    if (!pool_->Touch(PageId{heap_file_, p})) missed.push_back(p);
     last = p;
   }
   const uint64_t gap = uint64_t(config_.disk.seek_ms() / config_.disk.seq_page_ms());
@@ -171,8 +170,7 @@ ExecResult MaintenanceDriver::SelectViaCm(const CorrelationMap& cm,
   out.rows_examined = counts.examined;
   std::vector<PageNo> missed;
   for (const PageNo p : pages) {
-    if (!pool_->IsCached(PageId{heap_file_, p})) missed.push_back(p);
-    pool_->Admit(PageId{heap_file_, p}, /*mark_dirty=*/false);
+    if (!pool_->Touch(PageId{heap_file_, p})) missed.push_back(p);
   }
   const uint64_t gap = uint64_t(config_.disk.seek_ms() / config_.disk.seq_page_ms());
   out.io = CostOfRuns(ExtractRuns(std::move(missed), gap));

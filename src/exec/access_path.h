@@ -67,19 +67,6 @@ struct ExecOptions {
   /// Record the page-access trace (costs a vector push per page).
   bool keep_trace = false;
 
-  /// Planner calibration (exec/plan_choice.h): decayed buffer-pool hit
-  /// fractions for the heap and the index files. Costing only -- the
-  /// simulated I/O an executed path reports is unaffected. 0 reproduces
-  /// the historical cold-cache estimates.
-  double heap_residency = 0;
-  double index_residency = 0;
-  /// First unclustered row of a serving epoch snapshot: plan costing adds
-  /// a sweep of [clustered_boundary, NumRows) to every non-scan candidate
-  /// and clamps clustered ranges to the boundary. kFullyClustered (the
-  /// default, and the right value for offline tables) disables the term.
-  static constexpr uint64_t kFullyClustered = ~uint64_t{0};
-  uint64_t clustered_boundary = kFullyClustered;
-
   uint64_t EffectiveGapTolerance() const {
     if (run_gap_tolerance != kAutoGapTolerance) return run_gap_tolerance;
     return uint64_t(disk.seek_ms() / disk.seq_page_ms());

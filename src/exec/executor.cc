@@ -45,8 +45,6 @@ double Executor::EstimateSortedIndexMs(const SecondaryIndex& index,
   in.u_tups = stats.u_tups;
   in.c_tups = cidx_->CTups();
   in.c_per_u = stats.c_per_u;
-  in.heap_residency = exec_options_.heap_residency;
-  in.index_residency = exec_options_.index_residency;
   // Distinct predicated values: count in the sample, scale by D(u).
   std::unordered_set<uint64_t> matching, all;
   for (RowId r : sample_.rows()) {
@@ -69,25 +67,19 @@ PlanSet Executor::PlanWith(const Query& query, CmLookupCache* lookups) const {
   ctx.table = table_;
   ctx.cidx = cidx_;
   ctx.n_rows = table_->NumRows();
-  ctx.clustered_boundary =
-      RowId(std::min<uint64_t>(exec_options_.clustered_boundary,
-                               uint64_t(ctx.n_rows)));
-  ctx.heap_residency = exec_options_.heap_residency;
-  ctx.cidx_residency = exec_options_.index_residency;
   ctx.cost_model = &cost_model_;
 
   // Sorted secondary-index candidates keep their sample-driven §4.1
-  // estimate (the planner has no exact-range shortcut for them), plus the
-  // tail-sweep term every non-scan candidate carries on a serving
-  // snapshot (ChooseAccessPlan requires extras to price it themselves).
-  const double tail_ms = TailSweepCostMs(ctx);
+  // estimate (the planner has no exact-range shortcut for them). An
+  // offline table is fully clustered and costed cold, so they carry no
+  // tail-sweep term and no residency discount.
   std::vector<PlanCandidate> extras;
   for (size_t i = 0; i < indexes_.size(); ++i) {
     const double est = EstimateSortedIndexMs(*indexes_[i], query);
     if (est < 0) continue;
     extras.push_back({PlanKind::kSortedIndex,
                       "sorted_index_scan(" + indexes_[i]->Name() + ")",
-                      est + tail_ms, i, false});
+                      est, i, false});
   }
 
   // Every CM candidate is costed from the lookup CmScan would execute

@@ -54,8 +54,8 @@ class Executor {
   /// the winner. Candidate enumeration, costing, and the choice itself are
   /// delegated to exec/plan_choice.h, the same arbiter the serving engine
   /// consults, so offline and serving decisions over identical snapshots
-  /// (ExecOptions::clustered_boundary + residency fields) agree by
-  /// construction -- the plan-parity tests hold both to this.
+  /// (fully clustered, cold calibration) agree by construction -- the
+  /// plan-parity tests hold both to this.
   PlanSet Plan(const Query& query) const;
 
   /// Cost estimate for answering `query` by full scan.

@@ -3,7 +3,7 @@
 // wins for this query on this snapshot" has a single deterministic answer
 // (the plan-parity test battery holds the two to it). Candidates are
 // costed with the §3/§4 model extended with buffer-pool residency
-// calibration (CostInputs::heap_residency / index_residency): a hot
+// calibration (PlanContext's heap / clustered-index residency): a hot
 // clustered range is priced near CPU cost instead of cold I/O, which is
 // exactly the Fig. 9 mixed-workload gap.
 //

@@ -44,6 +44,14 @@ bool GetKey(const std::string& s, size_t* pos, Key* k) {
   return true;
 }
 
+/// True when `count` units of `unit` bytes fit in what is left of `s`
+/// after `pos`. Decoders check every count read from a payload before
+/// sizing a vector by it, so a corrupt count fails the decode instead of
+/// throwing from the allocator.
+bool Fits(const std::string& s, size_t pos, uint64_t count, uint64_t unit) {
+  return count <= (s.size() - pos) / unit;
+}
+
 }  // namespace
 
 Durability::Durability(DurabilityOptions options)
@@ -92,6 +100,11 @@ bool Durability::DecodeAppend(const std::string& payload, AppendOp* out) {
       !GetU64(payload, &pos, &n_cols)) {
     return false;
   }
+  // A row is n_cols 9-byte keys; zero-width rows are never logged.
+  if (n_rows > 0 && (n_cols == 0 || !Fits(payload, pos, n_cols, 9) ||
+                     !Fits(payload, pos, n_rows, 9 * n_cols))) {
+    return false;
+  }
   out->first_row = RowId(first);
   out->rows.assign(size_t(n_rows), std::vector<Key>(size_t(n_cols)));
   for (auto& row : out->rows) {
@@ -106,7 +119,7 @@ bool Durability::DecodeDeletes(const std::string& payload,
                                std::vector<RowId>* out) {
   size_t pos = 0;
   uint64_t n = 0;
-  if (!GetU64(payload, &pos, &n)) return false;
+  if (!GetU64(payload, &pos, &n) || !Fits(payload, pos, n, 8)) return false;
   out->assign(size_t(n), RowId{0});
   for (RowId& r : *out) {
     uint64_t v = 0;
@@ -119,7 +132,8 @@ bool Durability::DecodeDeletes(const std::string& payload,
 bool Durability::DecodeUpdate(const std::string& payload, UpdateOp* out) {
   size_t pos = 0;
   uint64_t row = 0, n_cols = 0;
-  if (!GetU64(payload, &pos, &row) || !GetU64(payload, &pos, &n_cols)) {
+  if (!GetU64(payload, &pos, &row) || !GetU64(payload, &pos, &n_cols) ||
+      !Fits(payload, pos, n_cols, 9)) {
     return false;
   }
   out->row = RowId(row);

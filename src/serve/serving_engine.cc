@@ -21,8 +21,8 @@ ServingEngine::ServingEngine(Table* table, const ClusteredIndex* cidx,
   if (options_.shared_pool != nullptr) {
     pool_ = options_.shared_pool;
   } else if (options_.buffer_pool_pages > 0) {
-    owned_pool_ = std::make_unique<BufferPool>(options_.buffer_pool_pages,
-                                               options_.buffer_pool_stripes);
+    owned_pool_ = std::make_unique<BufferPool>(
+        options_.buffer_pool_pages, ServingOptions::kBufferPoolStripes);
     pool_ = owned_pool_.get();
   }
   if (options_.shared_cache != nullptr) {
@@ -46,7 +46,7 @@ ServingEngine::ServingEngine(Table* table, const ClusteredIndex* cidx,
   if (durability_ != nullptr && !durability_->has_checkpoint()) {
     durability_->Checkpoint(*table, state_->clustered_boundary, 0);
   }
-  if (metrics_ != nullptr && options_.metrics_register_gauges) {
+  if (metrics_ != nullptr && options_.shared_cache == nullptr) {
     RegisterMetricsGauges();
   }
   StartWorkers(options_.num_workers);
@@ -76,32 +76,37 @@ void ServingEngine::RegisterMetricsGauges() {
   });
   add("serve_recluster_epoch", [this] { return double(ReclusterEpoch()); });
   add("serve_queue_depth", [this] { return double(QueueDepth()); });
-  add("cache_hits", [this] { return double(cache_->stats().hits); });
-  add("cache_misses", [this] { return double(cache_->stats().misses); });
-  add("cache_insertions",
-      [this] { return double(cache_->stats().insertions); });
+  RegisterCacheAndPoolGauges(add, *cache_, pool_);
+}
+
+void RegisterCacheAndPoolGauges(const GaugeAdder& add,
+                                const SharedLookupCache& cache,
+                                const BufferPool* pool) {
+  const SharedLookupCache* c = &cache;
+  add("cache_hits", [c] { return double(c->stats().hits); });
+  add("cache_misses", [c] { return double(c->stats().misses); });
+  add("cache_insertions", [c] { return double(c->stats().insertions); });
   add("cache_stale_evictions",
-      [this] { return double(cache_->stats().stale_evictions); });
-  add("cache_size", [this] { return double(cache_->Size()); });
-  if (pool_ != nullptr) {
-    // One coherent per-stripe snapshot per gauge read; see the
-    // BufferPoolSnapshot relaxed-consistency contract for what the
-    // exported values can and cannot mix.
-    add("pool_hits", [this] { return double(pool_->StatsSnapshot().stats.hits); });
-    add("pool_misses",
-        [this] { return double(pool_->StatsSnapshot().stats.misses); });
-    add("pool_evictions",
-        [this] { return double(pool_->StatsSnapshot().stats.evictions); });
-    add("pool_dirty_evictions", [this] {
-      return double(pool_->StatsSnapshot().stats.dirty_evictions);
-    });
-    add("pool_cached_pages",
-        [this] { return double(pool_->StatsSnapshot().num_cached); });
-    add("pool_dirty_pages",
-        [this] { return double(pool_->StatsSnapshot().num_dirty); });
-    add("pool_capacity_pages",
-        [this] { return double(pool_->capacity_pages()); });
-  }
+      [c] { return double(c->stats().stale_evictions); });
+  add("cache_size", [c] { return double(c->Size()); });
+  if (pool == nullptr) return;
+  // One coherent per-stripe snapshot per gauge read; see the
+  // BufferPoolSnapshot relaxed-consistency contract for what the exported
+  // values can and cannot mix.
+  add("pool_hits", [pool] { return double(pool->StatsSnapshot().stats.hits); });
+  add("pool_misses",
+      [pool] { return double(pool->StatsSnapshot().stats.misses); });
+  add("pool_evictions",
+      [pool] { return double(pool->StatsSnapshot().stats.evictions); });
+  add("pool_dirty_evictions", [pool] {
+    return double(pool->StatsSnapshot().stats.dirty_evictions);
+  });
+  add("pool_cached_pages",
+      [pool] { return double(pool->StatsSnapshot().num_cached); });
+  add("pool_dirty_pages",
+      [pool] { return double(pool->StatsSnapshot().num_dirty); });
+  add("pool_capacity_pages",
+      [pool] { return double(pool->capacity_pages()); });
 }
 
 Status ServingEngine::AttachCm(CmOptions cm_options) {
@@ -570,124 +575,13 @@ void ServingEngine::RecordSelect(const EpochState& st, const Query& query,
   metrics_->RecordSelect(trace);
 }
 
-Status ServingEngine::PrepareAppend(std::span<const std::vector<Key>> rows,
-                                    PreparedAppend* out) {
+Status ServingEngine::Prepare(uint64_t expected_epoch, const WriteSet& w,
+                              WriteGuard* out) {
   std::unique_lock<std::mutex> lock(append_mu_);
   // Re-read the state under the append lock: a recluster swap happens
-  // with this lock held, so the epoch seen here cannot be retired while
+  // with this lock held, so the epoch pinned here cannot be retired while
   // the guard is alive.
-  const std::shared_ptr<EpochState> st = CurrentState();
-  Table* table = st->table;
-  const size_t arity = table->schema().num_columns();
-  for (const std::vector<Key>& row : rows) {
-    if (row.size() != arity) {
-      return Status::InvalidArgument(
-          "appended row arity does not match the schema");
-    }
-  }
-  if (table->NumRows() + rows.size() > table->ReservedRows()) {
-    return Status::ResourceExhausted(
-        "append past the table's reserved capacity; concurrent readers "
-        "require append-without-reallocation");
-  }
-  out->lock_ = std::move(lock);
-  out->state_ = st;
-  return Status::OK();
-}
-
-Status ServingEngine::CommitAppend(PreparedAppend* prep,
-                                   std::span<const std::vector<Key>> rows) {
-  assert(prep != nullptr && prep->valid() && "commit without a prepare");
-  // Adopt the guard: the lock stays held through the apply and releases
-  // on return, and the prepared epoch is the one mutated.
-  const std::unique_lock<std::mutex> lock = std::move(prep->lock_);
-  const std::shared_ptr<EpochState> st = std::move(prep->state_);
-  Table* table = st->table;
-  std::vector<RowId> rids;
-  rids.reserve(rows.size());
-  for (const std::vector<Key>& row : rows) {
-    const RowId rid = RowId(table->NumRows());
-    table->AppendRowKeys(std::span<const Key>(row.data(), row.size()));
-    rids.push_back(rid);
-  }
-  // CM maintenance after heap publication: selects that race this batch
-  // find the new rows via the tail sweep whether or not their CM entries
-  // have landed, so the probe==scan invariant holds throughout. c-bucketed
-  // CMs are skipped entirely -- positional bucket ids do not cover the
-  // tail; the next recluster folds these rows in when it rebuilds them.
-  for (const auto& cm : st->cms) {
-    if (cm->has_clustered_buckets()) continue;
-    cm->InsertRowsBatched(rids);
-  }
-  // Log after the mutation succeeded: under append_mu_ the log order is
-  // exactly the apply order, so replay reproduces the same row ids.
-  if (durability_ != nullptr) durability_->LogAppend(rids.front(), rows);
-  if (metrics_ != nullptr) {
-    metrics_->appends->Increment();
-    metrics_->rows_appended->Add(rows.size());
-  }
-  MaybeScheduleRecluster(*st);
-  return Status::OK();
-}
-
-Status ServingEngine::ApplyAppend(std::span<const std::vector<Key>> rows) {
-  if (rows.empty()) return Status::OK();
-  PreparedAppend prep;
-  Status s = PrepareAppend(rows, &prep);
-  if (!s.ok()) return s;
-  return CommitAppend(&prep, rows);
-}
-
-Status ServingEngine::DeleteRowLocked(const EpochState& st, RowId row) {
-  // Tombstone FIRST, then retract: between the two steps a concurrent
-  // probe may still cover the row, but every access path re-filters
-  // through the tombstone bitmap, so the CM transiently over-covers and
-  // never under-covers -- probe==scan holds at every instant. (The
-  // reverse order would let a probe under-count a still-live row.)
-  Status s = st.table->DeleteRow(row);
-  if (!s.ok()) return s;
-  delete_log_.push_back(row);
-  for (const auto& cm : st.cms) {
-    // c-bucketed CMs never covered tail rows (the append path skips
-    // them), so there is nothing to retract there.
-    if (cm->has_clustered_buckets() && row >= st.clustered_boundary) {
-      continue;
-    }
-    Status cs = cm->DeleteRow(row);
-    if (!cs.ok()) return cs;
-  }
-  return Status::OK();
-}
-
-Status ServingEngine::ApplyDelete(RowId row, uint64_t expected_epoch) {
-  std::lock_guard<std::mutex> lock(append_mu_);
-  const std::shared_ptr<EpochState> st = CurrentState();
-  if (expected_epoch != kAnyEpoch && st->version != expected_epoch) {
-    if (metrics_ != nullptr) metrics_->write_conflicts->Increment();
-    return Status::Aborted("epoch moved past " +
-                           std::to_string(expected_epoch) +
-                           "; row ids were permuted -- re-resolve the row "
-                           "and retry");
-  }
-  if (row >= st->table->NumRows()) {
-    return Status::OutOfRange("row id past the published row count");
-  }
-  Status s = DeleteRowLocked(*st, row);
-  if (!s.ok()) return s;
-  if (durability_ != nullptr) {
-    const RowId one[1] = {row};
-    durability_->LogDeletes(one);
-  }
-  if (metrics_ != nullptr) metrics_->deletes->Increment();
-  MaybeScheduleRecluster(*st);
-  return Status::OK();
-}
-
-Status ServingEngine::ApplyDeletes(std::span<const RowId> rows,
-                                   uint64_t expected_epoch) {
-  if (rows.empty()) return Status::OK();
-  std::lock_guard<std::mutex> lock(append_mu_);
-  const std::shared_ptr<EpochState> st = CurrentState();
+  std::shared_ptr<EpochState> st = CurrentState();
   if (expected_epoch != kAnyEpoch && st->version != expected_epoch) {
     if (metrics_ != nullptr) metrics_->write_conflicts->Increment();
     return Status::Aborted("epoch moved past " +
@@ -695,84 +589,141 @@ Status ServingEngine::ApplyDeletes(std::span<const RowId> rows,
                            "; row ids were permuted -- re-resolve the rows "
                            "and retry");
   }
-  Table* table = st->table;
-  // Tombstone the whole batch first (rows already dead are skipped, so a
-  // double delete never half-fails the batch), then retract each CM once
-  // under one epoch bracket.
-  std::vector<RowId> newly;
-  newly.reserve(rows.size());
-  for (const RowId row : rows) {
-    if (row >= table->NumRows()) {
+  const Table& table = *st->table;
+  const size_t arity = table.schema().num_columns();
+  for (const std::vector<Key>& row : w.appends) {
+    if (row.size() != arity) {
+      return Status::InvalidArgument("row arity does not match the schema");
+    }
+  }
+  for (const RowId row : w.deletes) {
+    if (row >= table.NumRows()) {
       return Status::OutOfRange("row id past the published row count");
     }
-    const Status s = table->DeleteRow(row);
-    if (s.code() == Status::Code::kNotFound) continue;
-    if (!s.ok()) return s;
-    delete_log_.push_back(row);
-    newly.push_back(row);
-  }
-  if (newly.empty()) return Status::OK();
-  std::vector<RowId> clustered_only;
-  for (const auto& cm : st->cms) {
-    Status cs;
-    if (cm->has_clustered_buckets()) {
-      if (clustered_only.empty()) {
-        for (const RowId row : newly) {
-          if (row < st->clustered_boundary) clustered_only.push_back(row);
-        }
-      }
-      cs = cm->DeleteRowsBatched(clustered_only);
-    } else {
-      cs = cm->DeleteRowsBatched(newly);
+    if (!w.skip_dead && table.IsDeleted(row)) {
+      return Status::NotFound("row already deleted");
     }
-    if (!cs.ok()) return cs;
   }
-  // Only the rows this batch actually tombstoned are logged, so replaying
-  // the record deletes exactly them (already-dead rows never re-log).
-  if (durability_ != nullptr) durability_->LogDeletes(newly);
-  if (metrics_ != nullptr) metrics_->deletes->Add(newly.size());
-  MaybeScheduleRecluster(*st);
-  return Status::OK();
-}
-
-Status ServingEngine::ApplyUpdate(RowId row, std::span<const Key> new_values,
-                                  uint64_t expected_epoch) {
-  std::lock_guard<std::mutex> lock(append_mu_);
-  const std::shared_ptr<EpochState> st = CurrentState();
-  if (expected_epoch != kAnyEpoch && st->version != expected_epoch) {
-    if (metrics_ != nullptr) metrics_->write_conflicts->Increment();
-    return Status::Aborted("epoch moved past " +
-                           std::to_string(expected_epoch) +
-                           "; row ids were permuted -- re-resolve the row "
-                           "and retry");
-  }
-  Table* table = st->table;
-  if (new_values.size() != table->schema().num_columns()) {
-    return Status::InvalidArgument("row arity does not match the schema");
-  }
-  if (row >= table->NumRows()) {
-    return Status::OutOfRange("row id past the published row count");
-  }
-  if (table->NumRows() + 1 > table->ReservedRows()) {
+  if (table.NumRows() + w.appends.size() > table.ReservedRows()) {
     return Status::ResourceExhausted(
         "append past the table's reserved capacity; concurrent readers "
         "require append-without-reallocation");
   }
-  // Checks done; tombstone the old version, then re-append the new one as
-  // a tail row (same transaction under append_mu_).
-  Status s = DeleteRowLocked(*st, row);
-  if (!s.ok()) return s;
-  const RowId rid = RowId(table->NumRows());
-  table->AppendRowKeys(new_values);
-  const RowId rids[1] = {rid};
-  for (const auto& cm : st->cms) {
-    if (cm->has_clustered_buckets()) continue;
-    cm->InsertRowsBatched(rids);
-  }
-  if (durability_ != nullptr) durability_->LogUpdate(row, new_values);
-  if (metrics_ != nullptr) metrics_->updates->Increment();
-  MaybeScheduleRecluster(*st);
+  out->lock_ = std::move(lock);
+  out->state_ = std::move(st);
   return Status::OK();
+}
+
+Status ServingEngine::Commit(WriteGuard* guard, const WriteSet& w) {
+  assert(guard != nullptr && guard->valid() && "commit without a prepare");
+  // Adopt the guard: the lock stays held through the apply and releases
+  // on return, and the validated epoch is the one mutated.
+  const std::unique_lock<std::mutex> lock = std::move(guard->lock_);
+  const std::shared_ptr<EpochState> st = std::move(guard->state_);
+  Table* table = st->table;
+
+  // Tombstone FIRST, then retract: between the two steps a concurrent
+  // probe may still cover a row, but every access path re-filters through
+  // the tombstone bitmap, so the CM transiently over-covers and never
+  // under-covers -- probe==scan holds at every instant. Prepare checked
+  // the bounds, so a row is skipped only if already dead (skip_dead, or a
+  // repeat within the batch).
+  std::vector<RowId> dead;
+  dead.reserve(w.deletes.size());
+  for (const RowId row : w.deletes) {
+    if (!table->DeleteRow(row).ok()) continue;
+    delete_log_.push_back(row);
+    dead.push_back(row);
+  }
+  Status cm_status;
+  std::vector<RowId> clustered_dead;  // c-bucketed CMs never covered tail
+  for (const auto& cm : st->cms) {
+    if (dead.empty()) break;
+    std::span<const RowId> rows = dead;
+    if (cm->has_clustered_buckets()) {
+      if (clustered_dead.empty()) {
+        for (const RowId row : dead) {
+          if (row < st->clustered_boundary) clustered_dead.push_back(row);
+        }
+      }
+      rows = clustered_dead;
+    }
+    const Status cs = cm->DeleteRowsBatched(rows);
+    if (cm_status.ok()) cm_status = cs;
+  }
+
+  // Append: heap first, CMs after. Selects that race this batch find the
+  // new rows via the tail sweep whether or not their CM entries have
+  // landed. c-bucketed CMs are skipped entirely -- positional bucket ids
+  // do not cover the tail; the next recluster folds these rows in.
+  const RowId first = RowId(table->NumRows());
+  std::vector<RowId> rids;
+  rids.reserve(w.appends.size());
+  for (const std::vector<Key>& row : w.appends) {
+    rids.push_back(RowId(table->NumRows()));
+    table->AppendRowKeys(std::span<const Key>(row.data(), row.size()));
+  }
+  for (const auto& cm : st->cms) {
+    if (!cm->has_clustered_buckets()) cm->InsertRowsBatched(rids);
+  }
+  if (dead.empty() && rids.empty()) return cm_status;
+
+  // Log after the mutation: under append_mu_ the log order is exactly the
+  // apply order, so replay reproduces the same row ids. Only rows this
+  // write actually tombstoned are logged, so replay deletes exactly them.
+  const bool update = !w.deletes.empty() && !w.appends.empty();
+  if (durability_ != nullptr) {
+    if (update) {
+      durability_->LogUpdate(dead.front(), w.appends.front());
+    } else if (!dead.empty()) {
+      durability_->LogDeletes(dead);
+    } else {
+      durability_->LogAppend(first, w.appends);
+    }
+  }
+  if (metrics_ != nullptr) {
+    if (update) {
+      metrics_->updates->Increment();
+    } else if (!dead.empty()) {
+      metrics_->deletes->Add(dead.size());
+    } else {
+      metrics_->appends->Increment();
+      metrics_->rows_appended->Add(rids.size());
+    }
+  }
+  MaybeScheduleRecluster(*st);
+  return cm_status;
+}
+
+Status ServingEngine::Write(uint64_t expected_epoch, const WriteSet& w) {
+  WriteGuard guard;
+  Status s = Prepare(expected_epoch, w, &guard);
+  if (!s.ok()) return s;
+  return Commit(&guard, w);
+}
+
+Status ServingEngine::ApplyAppend(std::span<const std::vector<Key>> rows) {
+  if (rows.empty()) return Status::OK();
+  return Write(kAnyEpoch, {.appends = rows});
+}
+
+Status ServingEngine::ApplyDelete(RowId row, uint64_t expected_epoch) {
+  const RowId one[1] = {row};
+  return Write(expected_epoch, {.deletes = one});
+}
+
+Status ServingEngine::ApplyDeletes(std::span<const RowId> rows,
+                                   uint64_t expected_epoch) {
+  if (rows.empty()) return Status::OK();
+  return Write(expected_epoch, {.deletes = rows, .skip_dead = true});
+}
+
+Status ServingEngine::ApplyUpdate(RowId row, std::span<const Key> new_values,
+                                  uint64_t expected_epoch) {
+  const RowId old_row[1] = {row};
+  const std::vector<Key> new_row[1] = {
+      std::vector<Key>(new_values.begin(), new_values.end())};
+  return Write(expected_epoch, {.deletes = old_row, .appends = new_row});
 }
 
 void ServingEngine::MaybeScheduleRecluster(const EpochState& st) {
@@ -814,43 +765,6 @@ Result<ReclusterStats> ServingEngine::Recluster() {
 
 Result<ReclusterStats> ServingEngine::Compact() {
   return Reclusterer(this, ReclusterMode::kCompact).Run();
-}
-
-std::future<SelectResult> ServingEngine::Submit(Query query) {
-  auto task = std::make_shared<std::packaged_task<SelectResult()>>(
-      [this, q = std::move(query)] { return ExecuteSelect(q); });
-  std::future<SelectResult> fut = task->get_future();
-  Enqueue([task] { (*task)(); });
-  return fut;
-}
-
-std::future<Status> ServingEngine::Append(std::vector<std::vector<Key>> rows) {
-  auto task = std::make_shared<std::packaged_task<Status()>>(
-      [this, r = std::move(rows)] {
-        return ApplyAppend(std::span<const std::vector<Key>>(r));
-      });
-  std::future<Status> fut = task->get_future();
-  Enqueue([task] { (*task)(); });
-  return fut;
-}
-
-std::future<Status> ServingEngine::Delete(RowId row) {
-  auto task = std::make_shared<std::packaged_task<Status()>>(
-      [this, row] { return ApplyDelete(row); });
-  std::future<Status> fut = task->get_future();
-  Enqueue([task] { (*task)(); });
-  return fut;
-}
-
-std::future<Status> ServingEngine::Update(RowId row,
-                                          std::vector<Key> new_values) {
-  auto task = std::make_shared<std::packaged_task<Status()>>(
-      [this, row, v = std::move(new_values)] {
-        return ApplyUpdate(row, std::span<const Key>(v.data(), v.size()));
-      });
-  std::future<Status> fut = task->get_future();
-  Enqueue([task] { (*task)(); });
-  return fut;
 }
 
 void ServingEngine::Post(std::function<void()> fn) { Enqueue(std::move(fn)); }

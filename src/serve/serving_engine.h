@@ -36,13 +36,17 @@
 // the table publishes it, whether or not its CM entries have landed. A
 // recluster returns the tail to zero, bounding the sweep.
 //
-// Write path: ApplyAppend serializes whole append transactions (heap rows
-// + CM maintenance) behind one mutex; the table publishes each row with a
-// release store and each CM takes its exclusive lock only to apply
-// pre-bucketed pairs, so concurrent selects never block for longer than
-// one CM update.
-// When the tail reaches `recluster_tail_rows`, the append schedules a
-// background recluster on the worker pool.
+// Write path: every write -- append, delete, batched delete, update, and
+// each engine's share of a router write -- is one transaction: Prepare
+// takes the append lock, pins the epoch, and validates everything (epoch,
+// arity, row bounds and liveness, capacity) before anything changes;
+// Commit then tombstones first, appends second (heap rows, then CM
+// maintenance), and logs last. A refused write changes nothing. The table
+// publishes each row with a release store and each CM takes its exclusive
+// lock only to apply pre-bucketed pairs, so concurrent selects never
+// block for longer than one CM update. When the tail reaches
+// `recluster_tail_rows`, the write schedules a background recluster on
+// the worker pool.
 #ifndef CORRMAP_SERVE_SERVING_ENGINE_H_
 #define CORRMAP_SERVE_SERVING_ENGINE_H_
 
@@ -79,6 +83,19 @@
 
 namespace corrmap::serve {
 
+/// Registers one callback gauge; the owner records the name so it can
+/// unregister the gauge before the state the callback reads goes away.
+using GaugeAdder =
+    std::function<void(const std::string&, std::function<double()>)>;
+
+/// Registers the five cache_* gauges over `cache` and, when `pool` is
+/// non-null, the seven pool_* gauges over it. A standalone engine
+/// registers them over its own cache and pool, a ShardRouter over the
+/// ones its shards share.
+void RegisterCacheAndPoolGauges(const GaugeAdder& add,
+                                const SharedLookupCache& cache,
+                                const BufferPool* pool);
+
 struct ServingOptions {
   /// Fixed worker pool size for the async Submit/Append APIs.
   size_t num_workers = 4;
@@ -109,13 +126,14 @@ struct ServingOptions {
   size_t buffer_pool_pages = 4096;
   /// Lock stripes of an engine-owned pool (BufferPool's num_stripes):
   /// concurrent readers charging sweeps lock only their pages' stripes.
-  /// 1 reproduces the classic single global LRU exactly.
-  size_t buffer_pool_stripes = 8;
+  static constexpr size_t kBufferPoolStripes = 8;
   /// Shared infrastructure for engines living behind a ShardRouter: when
   /// non-null the engine uses the router-owned striped pool / lookup cache
   /// instead of creating its own (both must outlive the engine; the pool
-  /// is internally thread-safe). buffer_pool_pages/buffer_pool_stripes are
-  /// ignored when shared_pool is set.
+  /// is internally thread-safe). buffer_pool_pages is ignored when
+  /// shared_pool is set. An engine given a shared_cache is a router shard:
+  /// it registers no callback gauges (per-shard registrations would
+  /// collide on one name) and leaves the partition-wide ones to the router.
   BufferPool* shared_pool = nullptr;
   SharedLookupCache* shared_cache = nullptr;
   /// Selects between calibration refreshes (pool-stats snapshots into the
@@ -127,12 +145,6 @@ struct ServingOptions {
   /// engine). Null -- the default -- skips all instrumentation, so an
   /// unobserved engine pays nothing.
   obs::ServingMetrics* metrics = nullptr;
-  /// Register this engine's callback gauges (tail size, tombstones, queue
-  /// depth, pool and cache state) with metrics' registry. A ShardRouter
-  /// turns this off for its shards -- per-shard registrations would
-  /// collide on one name -- and registers partition-wide aggregates
-  /// itself.
-  bool metrics_register_gauges = true;
   /// Durability manager (serve/durability.h): when non-null every
   /// committed write logs a row-op record through its group-commit WAL
   /// and every recluster/compact publish checkpoints the successor table
@@ -191,8 +203,8 @@ struct SelectResult {
 };
 
 class ServingEngine {
-  // Forward declaration so the public PreparedAppend guard can pin the
-  // epoch it validated against (definition in the private section below).
+  // Forward declaration so the public WriteGuard can pin the epoch it
+  // validated against (definition in the private section below).
   struct EpochState;
 
  public:
@@ -263,23 +275,27 @@ class ServingEngine {
   /// Synchronous thread-safe select; Submit routes here from the pool.
   SelectResult ExecuteSelect(const Query& query) const;
 
-  /// Synchronous thread-safe append of whole rows (physical keys, schema
-  /// arity): appends to the heap, then updates every attached CM.
-  /// InvalidArgument on a row whose arity does not match the schema;
-  /// ResourceExhausted once the table's reservation is full (a recluster
-  /// renews the reservation). Either way nothing is applied on error.
-  Status ApplyAppend(std::span<const std::vector<Key>> rows);
+  /// What one write changes on one engine: rows to tombstone, then rows
+  /// to append (physical keys, schema arity). A delete plus a one-row
+  /// append is an update: one kRowUpdate WAL record, counted as an update.
+  struct WriteSet {
+    std::span<const RowId> deletes{};
+    std::span<const std::vector<Key>> appends{};
+    /// Batched-delete idempotence: rows already tombstoned (before or
+    /// earlier in this batch) are skipped instead of refused with NotFound.
+    bool skip_dead = false;
+  };
 
-  /// One engine's validated-but-unapplied slice of a multi-shard append.
-  /// Obtained from PrepareAppend (which returns it holding this engine's
-  /// append lock); pass it to CommitAppend to apply, or let it go out of
-  /// scope to abort with nothing applied and the lock released. Movable,
-  /// not copyable.
-  class PreparedAppend {
+  /// A validated, not yet applied write holding this engine's append lock
+  /// and the epoch it validated against, so nothing the validation checked
+  /// can change before Commit. Obtained from Prepare; pass it to Commit to
+  /// apply, or let it go out of scope to abort with nothing applied and
+  /// the lock released. Movable, not copyable.
+  class WriteGuard {
    public:
-    PreparedAppend() = default;
-    PreparedAppend(PreparedAppend&&) = default;
-    PreparedAppend& operator=(PreparedAppend&&) = default;
+    WriteGuard() = default;
+    WriteGuard(WriteGuard&&) = default;
+    WriteGuard& operator=(WriteGuard&&) = default;
     bool valid() const { return lock_.owns_lock(); }
 
    private:
@@ -288,65 +304,83 @@ class ServingEngine {
     std::shared_ptr<EpochState> state_;
   };
 
-  /// Phase 1 of an all-or-nothing multi-shard append (ShardRouter): takes
-  /// the append lock, validates every row's arity and the capacity
-  /// reservation, and hands the held lock back as a guard so the
-  /// validated headroom cannot be consumed before commit. The router
-  /// prepares shards in ascending index order, which totally orders the
-  /// cross-shard lock acquisition (no deadlock against concurrent
-  /// multi-shard appends). On error the lock is released and `out` stays
-  /// invalid.
-  Status PrepareAppend(std::span<const std::vector<Key>> rows,
-                       PreparedAppend* out);
-
-  /// Phase 2: applies `rows` -- which must be the exact slice `prep`
-  /// validated -- under the still-held lock, then releases it. Never
-  /// fails on a batch PrepareAppend accepted.
-  Status CommitAppend(PreparedAppend* prep,
-                      std::span<const std::vector<Key>> rows);
-
-  /// Epoch sentinel for ApplyDelete/ApplyUpdate: apply against whatever
-  /// epoch is current.
+  /// Epoch sentinel for writes: apply against whatever epoch is current.
   static constexpr uint64_t kAnyEpoch = ~uint64_t{0};
 
-  /// Synchronous thread-safe delete: tombstones `row`, then retracts its
-  /// (u-key, ordinal) pairs from every attached CM -- the retraction's
-  /// epoch bump makes SharedLookupCache entries covering the key go
-  /// stale. Tombstone-first ordering keeps probe==scan exact under
-  /// concurrency: between the two steps a probe may still cover the row,
-  /// but every access path re-filters through the tombstone bitmap, so
-  /// the CM transiently over-covers and never under-covers. Row ids are
-  /// permuted by recluster/compaction swaps, so a caller holding a row id
-  /// resolved against epoch E passes expected_epoch=E and gets Aborted if
-  /// the engine has moved on (re-resolve by row identity and retry).
-  /// NotFound if the row is already tombstoned; OutOfRange past the end.
+  /// Phase 1 of every write: takes the append lock, pins the current
+  /// epoch, and validates all of `w` against it, changing nothing. Errors,
+  /// checked in this order: Aborted when `expected_epoch` is not kAnyEpoch
+  /// and the epoch has moved (row ids were permuted; counted once in
+  /// write_conflicts -- re-resolve and retry); InvalidArgument for an
+  /// append row of the wrong arity; OutOfRange for a delete past the
+  /// published row count; NotFound for a delete of a tombstoned row
+  /// (unless skip_dead); ResourceExhausted when the appends overrun the
+  /// table's reservation (a recluster renews it). On error the lock is
+  /// released and `out` stays invalid. A ShardRouter prepares every shard
+  /// a write touches in ascending shard order, which totally orders the
+  /// cross-shard lock acquisition (no deadlock).
+  Status Prepare(uint64_t expected_epoch, const WriteSet& w,
+                 WriteGuard* out);
+
+  /// Phase 2: applies `w` -- the exact write `guard` validated -- under
+  /// the still-held lock, then releases it. Tombstones first, then
+  /// retracts the dead rows' pairs from every CM covering them (between
+  /// the two a probe may over-cover, never under-cover: every access path
+  /// re-filters through the tombstone bitmap); then appends the rows to
+  /// the heap and only then to the CMs (a select racing it finds the new
+  /// rows through the tail sweep); then logs, so the log order is the
+  /// apply order. c-bucketed CMs never cover tail rows: appends skip
+  /// them and so do retractions of tail rows. Returns a CM's error only
+  /// if its pairs had drifted from the live rows (an invariant violation);
+  /// the write is applied and logged regardless.
+  Status Commit(WriteGuard* guard, const WriteSet& w);
+
+  /// Synchronous thread-safe append of whole rows (physical keys, schema
+  /// arity): Prepare + Commit of an append-only WriteSet.
+  Status ApplyAppend(std::span<const std::vector<Key>> rows);
+
+  /// Synchronous thread-safe delete of one live row: the retraction's
+  /// epoch bump makes SharedLookupCache entries covering its key go
+  /// stale. Row ids are permuted by recluster/compaction swaps, so a
+  /// caller holding a row id resolved against epoch E passes
+  /// expected_epoch=E and gets Aborted if the engine has moved on.
   Status ApplyDelete(RowId row, uint64_t expected_epoch = kAnyEpoch);
 
-  /// Batched ApplyDelete under one append-lock acquisition and one epoch
-  /// bracket per CM; rows already tombstoned are skipped (idempotent), so
-  /// a batch never half-fails on a double delete.
+  /// Batched ApplyDelete under one lock acquisition and one epoch bracket
+  /// per CM. Rows already tombstoned are skipped (idempotent, so a batch
+  /// never half-fails on a double delete); one row past the end refuses
+  /// the whole batch.
   Status ApplyDeletes(std::span<const RowId> rows,
                       uint64_t expected_epoch = kAnyEpoch);
 
-  /// Synchronous thread-safe update = tombstone + tail re-append: deletes
-  /// `row` and appends `new_values` as a fresh tail row in one append
-  /// transaction. The new row gets a new row id (returned epochs permute
-  /// ids anyway); a concurrent select between the two steps sees neither
+  /// Synchronous thread-safe update = tombstone + tail re-append in one
+  /// transaction: the new version gets a new row id (epochs permute ids
+  /// anyway); a concurrent select between the two steps sees neither
   /// version, which keeps probe==scan exact (both sides miss it).
   Status ApplyUpdate(RowId row, std::span<const Key> new_values,
                      uint64_t expected_epoch = kAnyEpoch);
 
   /// Async APIs backed by the worker pool.
-  std::future<SelectResult> Submit(Query query);
-  std::future<Status> Append(std::vector<std::vector<Key>> rows);
-  std::future<Status> Delete(RowId row);
-  std::future<Status> Update(RowId row, std::vector<Key> new_values);
+  std::future<SelectResult> Submit(Query query) {
+    return Async([this, q = std::move(query)] { return ExecuteSelect(q); });
+  }
+  std::future<Status> Append(std::vector<std::vector<Key>> rows) {
+    return Async([this, r = std::move(rows)] { return ApplyAppend(r); });
+  }
+  std::future<Status> Delete(RowId row) {
+    return Async([this, row] { return ApplyDelete(row); });
+  }
+  std::future<Status> Update(RowId row, std::vector<Key> new_values) {
+    return Async([this, row, v = std::move(new_values)] {
+      return ApplyUpdate(row, v);
+    });
+  }
 
   /// Runs `fn` on this engine's worker pool -- the router's parallel
   /// scatter posts its per-shard select tasks here so the gather rides
   /// the pools the shards already own. Requires num_workers > 0 (a
-  /// pool-less engine never drains its queue; the router falls back to
-  /// its own pool in that configuration).
+  /// pool-less engine never drains its queue; the router visits
+  /// pool-less shards inline instead).
   void Post(std::function<void()> fn);
 
   /// Runs one synchronous recluster pass (serialized against concurrent
@@ -521,19 +555,25 @@ class ServingEngine {
   void StartWorkers(size_t n);
   void StopWorkers();
   void Enqueue(std::function<void()> fn);
+  /// Queues `fn` on the worker pool; the future carries its result.
+  template <class Fn>
+  auto Async(Fn fn) -> std::future<decltype(fn())> {
+    auto task =
+        std::make_shared<std::packaged_task<decltype(fn())()>>(std::move(fn));
+    auto fut = task->get_future();
+    Enqueue([task] { (*task)(); });
+    return fut;
+  }
   void WorkerLoop();
   void MaybeScheduleRecluster(const EpochState& st);
 
   /// Registers this engine's callback gauges with metrics_'s registry
   /// (and records their names so the destructor can unregister before the
-  /// captured `this` dangles). Only called when
-  /// ServingOptions::metrics_register_gauges held.
+  /// captured `this` dangles). Not called for router shards.
   void RegisterMetricsGauges();
 
-  /// Tombstones `row` on `st`'s table, logs it for recluster replay, and
-  /// retracts its pairs from every CM covering it. Caller holds
-  /// append_mu_ and has bounds-checked the row.
-  Status DeleteRowLocked(const EpochState& st, RowId row);
+  /// Prepare + Commit: the whole single-engine write transaction.
+  Status Write(uint64_t expected_epoch, const WriteSet& w);
 
   /// Registers the epoch's heap/cidx files with the pool and installs a
   /// cold calibration cell. Called for epoch 0 and for every recluster

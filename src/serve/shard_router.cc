@@ -57,22 +57,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     return Status::InvalidArgument(
         "shard_durability must carry one manager per requested shard");
   }
-  ServingOptions eo = options.engine;
-  if (eo.buffer_pool_pages > 0) {
-    r->pool_ = std::make_unique<BufferPool>(eo.buffer_pool_pages,
-                                            options.pool_stripes);
-  }
-  r->cache_ = std::make_unique<SharedLookupCache>();
-  eo.shared_pool = r->pool_.get();
-  eo.shared_cache = r->cache_.get();
-  // All shards share one bundle; per-shard engines skip the gauge
-  // registration (they would fight over the names) and the router
-  // registers partition-level aggregates below instead.
-  r->metrics_ = eo.metrics;
-  eo.metrics_register_gauges = false;
-  r->engines_pooled_ = eo.num_workers > 0;
-  r->on_shard_visit_ = options.on_shard_visit;
-
+  ServingOptions eo = r->SharedSetup(options);
   r->shards_.reserve(bounds.size() - 1);
   for (size_t s = 0; s + 1 < bounds.size(); ++s) {
     // Durability is strictly per shard: each engine logs its own row-id
@@ -95,9 +80,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     r->shards_.push_back(std::move(sh));
   }
   if (r->metrics_ != nullptr) r->RegisterMetricsGauges();
-  if (!r->engines_pooled_ && r->shards_.size() > 1) {
-    r->StartFallbackPool(std::min<size_t>(r->shards_.size(), 8));
-  }
   return r;
 }
 
@@ -119,18 +101,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Recover(
   r->c_col_ = c_col;
   r->splits_ = std::move(splits);
 
-  ServingOptions eo = options.engine;
-  if (eo.buffer_pool_pages > 0) {
-    r->pool_ = std::make_unique<BufferPool>(eo.buffer_pool_pages,
-                                            options.pool_stripes);
-  }
-  r->cache_ = std::make_unique<SharedLookupCache>();
-  eo.shared_pool = r->pool_.get();
-  eo.shared_cache = r->cache_.get();
-  r->metrics_ = eo.metrics;
-  eo.metrics_register_gauges = false;
-  r->engines_pooled_ = eo.num_workers > 0;
-  r->on_shard_visit_ = options.on_shard_visit;
+  ServingOptions eo = r->SharedSetup(options);
 
   r->shards_.reserve(n_shards);
   for (size_t s = 0; s < n_shards; ++s) {
@@ -144,56 +115,33 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Recover(
     if (stats != nullptr) stats->push_back(shard_stats);
   }
   if (r->metrics_ != nullptr) r->RegisterMetricsGauges();
-  if (!r->engines_pooled_ && r->shards_.size() > 1) {
-    r->StartFallbackPool(std::min<size_t>(r->shards_.size(), 8));
-  }
   return r;
 }
 
-ShardRouter::~ShardRouter() {
-  // Drain the fallback scatter pool before anything the queued tasks
-  // could touch (shards, metrics) goes away. Callers must not destroy
-  // the router with selects still in flight, same as the engines.
-  {
-    std::lock_guard<std::mutex> lock(fb_mu_);
-    fb_stopping_ = true;
+ServingOptions ShardRouter::SharedSetup(const RouterOptions& options) {
+  ServingOptions eo = options.engine;
+  if (eo.buffer_pool_pages > 0) {
+    pool_ = std::make_unique<BufferPool>(eo.buffer_pool_pages,
+                                         RouterOptions::kPoolStripes);
   }
-  fb_cv_.notify_all();
-  for (std::thread& w : fb_workers_) w.join();
-  fb_workers_.clear();
+  cache_ = std::make_unique<SharedLookupCache>();
+  // Every shard shares the one pool and cache; an engine given a shared
+  // cache skips its own gauge registration (the names would collide), and
+  // the router registers partition-level aggregates instead.
+  eo.shared_pool = pool_.get();
+  eo.shared_cache = cache_.get();
+  metrics_ = eo.metrics;
+  engines_pooled_ = eo.num_workers > 0;
+  on_shard_visit_ = options.on_shard_visit;
+  return eo;
+}
+
+ShardRouter::~ShardRouter() {
   if (metrics_ != nullptr) {
     for (const std::string& name : gauge_names_) {
       metrics_->registry().RemoveCallbackGauge(name);
     }
   }
-}
-
-void ShardRouter::StartFallbackPool(size_t n) {
-  fb_workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    fb_workers_.emplace_back([this] {
-      for (;;) {
-        std::function<void()> job;
-        {
-          std::unique_lock<std::mutex> lock(fb_mu_);
-          fb_cv_.wait(lock,
-                      [this] { return fb_stopping_ || !fb_queue_.empty(); });
-          if (fb_queue_.empty()) return;  // stopping and drained
-          job = std::move(fb_queue_.front());
-          fb_queue_.pop_front();
-        }
-        job();
-      }
-    });
-  }
-}
-
-void ShardRouter::SubmitFallback(std::function<void()> fn) const {
-  {
-    std::lock_guard<std::mutex> lock(fb_mu_);
-    fb_queue_.push_back(std::move(fn));
-  }
-  fb_cv_.notify_one();
 }
 
 void ShardRouter::RegisterMetricsGauges() {
@@ -238,30 +186,7 @@ void ShardRouter::RegisterMetricsGauges() {
     return n;
   });
   add("router_num_shards", [this] { return double(shards_.size()); });
-  add("cache_hits", [this] { return double(cache_->stats().hits); });
-  add("cache_misses", [this] { return double(cache_->stats().misses); });
-  add("cache_insertions",
-      [this] { return double(cache_->stats().insertions); });
-  add("cache_stale_evictions",
-      [this] { return double(cache_->stats().stale_evictions); });
-  add("cache_size", [this] { return double(cache_->Size()); });
-  if (pool_ != nullptr) {
-    add("pool_hits",
-        [this] { return double(pool_->StatsSnapshot().stats.hits); });
-    add("pool_misses",
-        [this] { return double(pool_->StatsSnapshot().stats.misses); });
-    add("pool_evictions",
-        [this] { return double(pool_->StatsSnapshot().stats.evictions); });
-    add("pool_dirty_evictions", [this] {
-      return double(pool_->StatsSnapshot().stats.dirty_evictions);
-    });
-    add("pool_cached_pages",
-        [this] { return double(pool_->StatsSnapshot().num_cached); });
-    add("pool_dirty_pages",
-        [this] { return double(pool_->StatsSnapshot().num_dirty); });
-    add("pool_capacity_pages",
-        [this] { return double(pool_->capacity_pages()); });
-  }
+  RegisterCacheAndPoolGauges(add, *cache_, pool_.get());
 }
 
 size_t ShardRouter::RouteKey(const Key& k) const {
@@ -365,9 +290,9 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
   // Scatter: each visited shard's select runs as an independent task that
   // writes only its own `parts` slot and times its own visit, so per-shard
   // completion needs no synchronization beyond the gather below. The
-  // tasks ride the shards' worker pools (or the router's fallback pool
-  // when the engines run pool-less) and this thread blocks on the
-  // futures; a single-target scatter runs inline.
+  // tasks ride the shards' worker pools and this thread blocks on the
+  // futures. A single-target scatter -- and every scatter over pool-less
+  // engines, whose queues never drain -- runs inline in ascending order.
   std::vector<SelectResult> parts(targets.size());
   auto visit_one = [&](size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -380,22 +305,18 @@ RoutedSelectResult ShardRouter::ExecuteSelect(const Query& query) const {
     }
     if (on_shard_visit_) on_shard_visit_(parts[i]);
   };
-  if (targets.size() > 1) {
+  if (targets.size() > 1 && engines_pooled_) {
     std::vector<std::future<void>> gathers;
     gathers.reserve(targets.size());
     for (size_t i = 0; i < targets.size(); ++i) {
       auto task = std::make_shared<std::packaged_task<void()>>(
           [&visit_one, i] { visit_one(i); });
       gathers.push_back(task->get_future());
-      if (engines_pooled_) {
-        shards_[targets[i]].engine->Post([task] { (*task)(); });
-      } else {
-        SubmitFallback([task] { (*task)(); });
-      }
+      shards_[targets[i]].engine->Post([task] { (*task)(); });
     }
     for (std::future<void>& f : gathers) f.get();
-  } else if (!targets.empty()) {
-    visit_one(0);
+  } else {
+    for (size_t i = 0; i < targets.size(); ++i) visit_one(i);
   }
 
   // Gather: single-threaded, ascending shard order -- merged counts never
@@ -476,27 +397,27 @@ Status ShardRouter::ApplyAppend(std::span<const std::vector<Key>> rows) {
     }
     by_shard[RouteKey(row[c_col_])].push_back(row);
   }
-  // All-or-nothing across shards. Phase 1: every target shard validates
+  // All-or-nothing across shards. Phase 1: every target shard prepares
   // its slice (arity, capacity) and hands back a guard holding its append
   // lock -- ascending shard order makes the cross-shard lock acquisition
-  // a total order, so concurrent multi-shard appends cannot deadlock. A
-  // refusal drops the guards already held and no shard has changed (the
-  // fail-fast path previously left earlier shards' rows applied and
-  // WAL-logged while the call reported an error). Phase 2 cannot fail on
-  // a prepared batch, so commit applies everywhere or the error return
-  // applied nowhere.
-  std::vector<ServingEngine::PreparedAppend> prepared(shards_.size());
+  // a total order, so concurrent multi-shard writes cannot deadlock. A
+  // refusal drops the guards already held and no shard has changed. Phase
+  // 2 applies everywhere.
+  std::vector<ServingEngine::WriteGuard> guards(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (by_shard[s].empty()) continue;
-    Status st = shards_[s].engine->PrepareAppend(by_shard[s], &prepared[s]);
+    Status st = shards_[s].engine->Prepare(
+        ServingEngine::kAnyEpoch, {.appends = by_shard[s]}, &guards[s]);
     if (!st.ok()) return st;
   }
+  Status out;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!prepared[s].valid()) continue;
-    Status st = shards_[s].engine->CommitAppend(&prepared[s], by_shard[s]);
-    if (!st.ok()) return st;
+    if (!guards[s].valid()) continue;
+    const Status st =
+        shards_[s].engine->Commit(&guards[s], {.appends = by_shard[s]});
+    if (out.ok()) out = st;
   }
-  return Status::OK();
+  return out;
 }
 
 Status ShardRouter::ApplyDelete(size_t shard, RowId row,
@@ -517,15 +438,33 @@ Status ShardRouter::ApplyUpdate(size_t shard, RowId row,
     return shards_[shard].engine->ApplyUpdate(row, new_values,
                                               expected_epoch);
   }
-  // The new clustered key moves the row across the partition: tombstone it
-  // in its old shard first, then append the new version to its owner. A
-  // select between the two steps sees neither version -- the same
-  // invariant the engine's own tombstone+re-append update keeps.
-  Status st = shards_[shard].engine->ApplyDelete(row, expected_epoch);
-  if (!st.ok()) return st;
-  const std::vector<std::vector<Key>> one{
+  // The new clustered key moves the row across the partition: a delete in
+  // its old shard plus an append to its owner, prepared on both shards in
+  // ascending order (the multi-shard append's lock order) so a refusal on
+  // either side -- stale epoch, dead row, full target -- changes neither.
+  // The delete commits first: a select between the two commits sees
+  // neither version, the same invariant the engine's own update keeps.
+  const RowId old_row[1] = {row};
+  const std::vector<Key> new_row[1] = {
       std::vector<Key>(new_values.begin(), new_values.end())};
-  return shards_[target].engine->ApplyAppend(one);
+  const ServingEngine::WriteSet del{.deletes = old_row};
+  const ServingEngine::WriteSet add{.appends = new_row};
+  ServingEngine& src = *shards_[shard].engine;
+  ServingEngine& dst = *shards_[target].engine;
+  ServingEngine::WriteGuard src_guard;
+  ServingEngine::WriteGuard dst_guard;
+  auto prepare_src = [&] {
+    return src.Prepare(expected_epoch, del, &src_guard);
+  };
+  auto prepare_dst = [&] {
+    return dst.Prepare(ServingEngine::kAnyEpoch, add, &dst_guard);
+  };
+  Status st = shard < target ? prepare_src() : prepare_dst();
+  if (st.ok()) st = shard < target ? prepare_dst() : prepare_src();
+  if (!st.ok()) return st;
+  st = src.Commit(&src_guard, del);
+  const Status appended = dst.Commit(&dst_guard, add);
+  return st.ok() ? appended : st;
 }
 
 Result<ReclusterStats> ShardRouter::Recluster(size_t shard) {

@@ -23,35 +23,33 @@
 //   3. No clustered predicate and no applicable CM: full scatter-gather.
 // Visited shards run their ordinary cost-based deliberation. The scatter
 // is parallel: each visited shard's select is posted to that shard's own
-// worker pool (or to a router-owned fallback pool when the engines run
-// pool-less) and the router blocks on the gathered futures, so a
+// worker pool and the router blocks on the gathered futures, so a
 // multi-shard select costs one shard's latency instead of the sum; a
-// single-target select runs inline. The merge stays single-threaded and
-// walks the results in ascending shard order, so merged counts never
-// depend on completion order.
+// single-target select, and any select over pool-less engines
+// (num_workers == 0), visits its shards inline in ascending order. The
+// merge stays single-threaded and walks the results in ascending shard
+// order, so merged counts never depend on completion order.
 //
-// Writes route by clustered key: ApplyAppend groups rows by owning shard
-// and applies the groups all-or-nothing (every target shard validates and
-// locks before any shard applies), deletes/updates address (shard, row)
+// Writes route by clustered key and run the engines' one write
+// transaction (ServingEngine::Prepare / Commit): ApplyAppend groups rows
+// by owning shard and prepares every target shard before any commits, so
+// the groups apply all-or-nothing; deletes/updates address (shard, row)
 // and carry the shard's own recluster epoch (row ids are per-shard; a
 // recluster in shard i permutes only shard i's ids and aborts only
 // writers holding shard i's stale epoch). An update whose new clustered
-// key moves it across the partition becomes delete-then-append -- between
-// the two steps neither version is visible, the same invariant the
-// engine's own update keeps.
+// key moves it across the partition prepares the delete on its old shard
+// and the append on its new owner before committing either, so a refusal
+// on either side changes nothing; between the two commits neither version
+// is visible, the same invariant the engine's own update keeps.
 #ifndef CORRMAP_SERVE_SHARD_ROUTER_H_
 #define CORRMAP_SERVE_SHARD_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -75,7 +73,7 @@ struct RouterOptions {
   /// shared_pool/shared_cache are overwritten by the router.
   ServingOptions engine;
   /// Lock stripes of the router-owned shared pool.
-  size_t pool_stripes = 16;
+  static constexpr size_t kPoolStripes = 16;
   /// Per-shard durability managers (serve/durability.h). Empty disables
   /// durable serving; otherwise one entry per *requested* shard
   /// (num_shards) -- each shard logs its own writes and checkpoints its
@@ -145,12 +143,12 @@ class ShardRouter {
   RoutedSelectResult ExecuteSelect(const Query& query) const;
 
   /// Routes each row to its owning shard by clustered key and applies the
-  /// per-shard groups all-or-nothing: every target shard validates its
-  /// slice (schema arity, capacity) and takes its append lock before any
+  /// per-shard groups all-or-nothing: every target shard prepares its
+  /// slice (schema arity, capacity) and holds its append lock before any
   /// shard applies, so an error -- bad routing key, arity mismatch, one
   /// shard out of reserved capacity -- leaves every shard untouched and
   /// nothing WAL-logged. Locks are taken in ascending shard order, which
-  /// totally orders concurrent multi-shard appends (no deadlock).
+  /// totally orders concurrent multi-shard writes (no deadlock).
   Status ApplyAppend(std::span<const std::vector<Key>> rows);
 
   /// Tombstones row `row` *of shard `shard`*. expected_epoch is checked
@@ -162,7 +160,10 @@ class ShardRouter {
   /// When the new clustered key stays in `shard`, this is the engine's
   /// atomic tombstone+re-append; when it moves, the row is deleted from
   /// `shard` and appended to its new owner (neither version visible in
-  /// between).
+  /// between). Both shards validate -- source epoch, bounds, liveness;
+  /// target arity, capacity -- before either changes, so an error leaves
+  /// both untouched. Crash atomicity across the two shard WALs is not
+  /// covered: each shard logs its own half.
   Status ApplyUpdate(size_t shard, RowId row, std::span<const Key> new_values,
                      uint64_t expected_epoch = ServingEngine::kAnyEpoch);
 
@@ -219,13 +220,11 @@ class ShardRouter {
 
   ShardRouter() = default;
 
+  /// The set-up Create and Recover share: builds the shared pool and
+  /// cache, adopts the metrics sink and scatter hook, and returns the
+  /// per-shard engine options wired to them.
+  ServingOptions SharedSetup(const RouterOptions& options);
   void RegisterMetricsGauges();
-
-  /// Router-owned scatter pool, started only when the engines run
-  /// pool-less (num_workers == 0): a pool-less engine never drains its
-  /// queue, so Post would hang.
-  void StartFallbackPool(size_t n);
-  void SubmitFallback(std::function<void()> fn) const;
 
   size_t c_col_ = 0;
   std::vector<Key> splits_;
@@ -237,16 +236,9 @@ class ShardRouter {
   obs::ServingMetrics* metrics_ = nullptr;
   std::vector<std::string> gauge_names_;
   /// Shards own worker pools (engine.num_workers > 0): scatter tasks ride
-  /// them; otherwise the fallback pool below.
+  /// them; otherwise the scatter visits its shards inline.
   bool engines_pooled_ = true;
   std::function<void(const SelectResult&)> on_shard_visit_;
-  // Fallback scatter pool (mutable: ExecuteSelect is const). fb_stopping_
-  // is guarded by fb_mu_.
-  mutable std::mutex fb_mu_;
-  mutable std::condition_variable fb_cv_;
-  mutable std::deque<std::function<void()>> fb_queue_;
-  bool fb_stopping_ = false;
-  std::vector<std::thread> fb_workers_;
 
   mutable std::atomic<uint64_t> selects_{0};
   mutable std::atomic<uint64_t> shards_visited_{0};

@@ -70,38 +70,16 @@ void BufferPool::AdmitLocked(Stripe& s, PageId page, bool mark_dirty) {
         .resident_pages;
 }
 
-void BufferPool::Access(PageId page, bool mark_dirty) {
-  Stripe& s = StripeOf(page);
-  std::lock_guard<std::mutex> lock(s.mu);
+bool BufferPool::TouchLocked(Stripe& s, PageId page, bool mark_dirty) {
   auto it = s.frames.find(page);
-  if (it != s.frames.end()) {
-    ++s.stats.hits;
-    NoteTouch(s, page, /*hit=*/true);
-    s.lru.erase(it->second.lru_it);
-    s.lru.push_front(page);
-    it->second.lru_it = s.lru.begin();
-    if (mark_dirty && !it->second.dirty) {
-      it->second.dirty = true;
-      ++s.num_dirty;
-    }
-    return;
-  }
-  ++s.stats.misses;
-  NoteTouch(s, page, /*hit=*/false);
-  ++s.io.seeks;  // random read to fault the page in
-  AdmitLocked(s, page, mark_dirty);
-}
-
-bool BufferPool::AccessIfCached(PageId page, bool mark_dirty) {
-  Stripe& s = StripeOf(page);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.frames.find(page);
-  if (it == s.frames.end()) {
-    NoteTouch(s, page, /*hit=*/false);
+  const bool hit = it != s.frames.end();
+  NoteTouch(s, page, hit);
+  if (!hit) {
+    ++s.stats.misses;
+    AdmitLocked(s, page, mark_dirty);
     return false;
   }
   ++s.stats.hits;
-  NoteTouch(s, page, /*hit=*/true);
   s.lru.erase(it->second.lru_it);
   s.lru.push_front(page);
   it->second.lru_it = s.lru.begin();
@@ -112,47 +90,18 @@ bool BufferPool::AccessIfCached(PageId page, bool mark_dirty) {
   return true;
 }
 
-void BufferPool::Admit(PageId page, bool mark_dirty) {
-  // A resident page behaves like a hit; a miss admits without the
-  // random-read charge (the caller swept into the page sequentially).
+void BufferPool::Access(PageId page, bool mark_dirty) {
   Stripe& s = StripeOf(page);
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.frames.find(page);
-  if (it != s.frames.end()) {
-    ++s.stats.hits;
-    NoteTouch(s, page, /*hit=*/true);
-    s.lru.erase(it->second.lru_it);
-    s.lru.push_front(page);
-    it->second.lru_it = s.lru.begin();
-    if (mark_dirty && !it->second.dirty) {
-      it->second.dirty = true;
-      ++s.num_dirty;
-    }
-    return;
-  }
-  NoteTouch(s, page, /*hit=*/false);
-  ++s.stats.misses;
-  AdmitLocked(s, page, mark_dirty);
+  if (!TouchLocked(s, page, mark_dirty)) ++s.io.seeks;  // random read
 }
 
 bool BufferPool::Touch(PageId page) {
   // The serving hot path runs this once per swept page: one hash lookup
-  // under this page's stripe lock, not the IsCached+Admit double probe.
+  // under this page's stripe lock, not an IsCached probe plus a touch.
   Stripe& s = StripeOf(page);
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.frames.find(page);
-  if (it != s.frames.end()) {
-    ++s.stats.hits;
-    NoteTouch(s, page, /*hit=*/true);
-    s.lru.erase(it->second.lru_it);
-    s.lru.push_front(page);
-    it->second.lru_it = s.lru.begin();
-    return true;
-  }
-  ++s.stats.misses;
-  NoteTouch(s, page, /*hit=*/false);
-  AdmitLocked(s, page, /*mark_dirty=*/false);
-  return false;
+  return TouchLocked(s, page, /*mark_dirty=*/false);
 }
 
 bool BufferPool::IsCached(PageId page) const {

@@ -45,8 +45,8 @@ struct BufferPoolSnapshot {
 };
 
 /// Live residency snapshot for one file (table heap or index) or one extent
-/// of it, the input the cost model's calibration consumes
-/// (CostInputs::heap_residency / index_residency). `hit_rate` is an
+/// of it, the input serving plan costing is calibrated by
+/// (PlanContext::heap_residency / cidx_residency). `hit_rate` is an
 /// exponentially decayed fraction of the touches that hit the pool --
 /// decayed so a workload shift (a range going cold, a recluster retiring a
 /// file) fades out of the estimate within ~kResidencyDecayWindow touches
@@ -86,15 +86,6 @@ class BufferPool {
   /// may evict the LRU page (charging a write if dirty). `mark_dirty`
   /// records an in-place modification.
   void Access(PageId page, bool mark_dirty);
-
-  /// Touches a page only if it is already resident (returns false on miss,
-  /// charging nothing). Used by read paths that model their own I/O.
-  bool AccessIfCached(PageId page, bool mark_dirty);
-
-  /// Like Access, but a miss does NOT charge a read seek -- the caller has
-  /// already accounted the read as part of a sequential sweep. Evicted
-  /// dirty pages still charge their write-back.
-  void Admit(PageId page, bool mark_dirty);
 
   /// Serving-sweep primitive: touches `page` (hit moves to MRU, miss
   /// admits without charging a seek -- the caller prices the I/O itself
@@ -179,7 +170,7 @@ class BufferPool {
   };
 
   /// Exponentially decayed per-extent touch counters plus an exact
-  /// resident page count, maintained by every Access/Admit/Touch and by
+  /// resident page count, maintained by every Access/Touch and by
   /// evictions. Keyed by (file, extent); an extent's pages may hash to
   /// several stripes, so readers aggregate across stripes.
   struct ExtentCounters {
@@ -218,6 +209,10 @@ class BufferPool {
   static void EvictOne(Stripe& s);
   static void NoteTouch(Stripe& s, PageId page, bool hit);
   static void AdmitLocked(Stripe& s, PageId page, bool mark_dirty);
+  /// The one touch path behind Access and Touch: a hit moves `page` to
+  /// MRU, a miss admits it (no I/O charge; Access adds the read seek).
+  /// Returns whether the page was resident. Caller holds s.mu.
+  static bool TouchLocked(Stripe& s, PageId page, bool mark_dirty);
 
   size_t capacity_pages_;
   std::vector<Stripe> stripes_;

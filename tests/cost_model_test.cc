@@ -155,85 +155,11 @@ TEST(CostModelCalibrationTest, EffectiveCostsBlendGolden) {
   EXPECT_DOUBLE_EQ(m.EffectiveSeqPageMs(7.0), m.EffectiveSeqPageMs(1.0));
 }
 
-TEST(CostModelCalibrationTest, ScanCostGoldenAcrossResidency) {
-  CostModel m;
-  CostInputs in = BaseInputs();  // 30000 pages
-  in.heap_residency = 0.0;
-  EXPECT_DOUBLE_EQ(m.ScanCost(in), 0.078 * 30000.0);
-  in.heap_residency = 0.5;
-  EXPECT_DOUBLE_EQ(m.ScanCost(in),
-                   (0.5 * 0.078 + 0.5 * CostModel::kResidentPageMs) * 30000.0);
-  in.heap_residency = 1.0;
-  EXPECT_DOUBLE_EQ(m.ScanCost(in), CostModel::kResidentPageMs * 30000.0);
-}
-
-TEST(CostModelCalibrationTest, SortedCostGoldenAndMonotoneInHitRate) {
-  // The clustered-range access shape (descend, sweep c_pages): cost must
-  // fall strictly and monotonically as the buffer pool warms -- the
-  // regression guard for the over-pricing of hot clustered ranges.
-  CostModel m;
-  CostInputs in = BaseInputs();
-  const auto sorted_at = [&](double heap_r, double index_r) {
-    CostInputs x = in;
-    x.heap_residency = heap_r;
-    x.index_residency = index_r;
-    return m.SortedCost(x);
-  };
-  // Golden values at the three calibration points.
-  EXPECT_DOUBLE_EQ(sorted_at(0.0, 0.0),
-                   7.0 * (5.5 * 3 + 0.078 * (700.0 / 60.0)));
-  EXPECT_DOUBLE_EQ(
-      sorted_at(0.5, 0.5),
-      7.0 * ((0.5 * 5.5 + 0.5 * CostModel::kResidentSeekMs) * 3 +
-             (0.5 * 0.078 + 0.5 * CostModel::kResidentPageMs) *
-                 (700.0 / 60.0)));
-  EXPECT_DOUBLE_EQ(sorted_at(1.0, 1.0),
-                   7.0 * (CostModel::kResidentSeekMs * 3 +
-                          CostModel::kResidentPageMs * (700.0 / 60.0)));
-  // Monotone decline in each residency axis independently.
-  double prev = sorted_at(0.0, 0.0);
-  for (double r = 0.25; r <= 1.0; r += 0.25) {
-    const double c = sorted_at(r, 0.0);
-    EXPECT_LT(c, prev);
-    prev = c;
-  }
-  prev = sorted_at(0.0, 0.0);
-  for (double r = 0.25; r <= 1.0; r += 0.25) {
-    const double c = sorted_at(0.0, r);
-    EXPECT_LT(c, prev);
-    prev = c;
-  }
-  // Fully hot is priced near CPU: orders of magnitude below cold.
-  EXPECT_LT(sorted_at(1.0, 1.0) * 1000, sorted_at(0.0, 0.0));
-}
-
-TEST(CostModelCalibrationTest, CmLookupTermsUnaffectedByResidency) {
-  // The cm_lookup probe/scan terms model in-RAM work; no residency input
-  // exists and CmCost's residency sensitivity comes only from its heap
-  // access (SortedCost) component -- the uncached map-read surcharge is
-  // residency-invariant.
-  CostModel m;
-  CostInputs cold = BaseInputs();
-  CostInputs hot = BaseInputs();
-  hot.heap_residency = 1.0;
-  hot.index_residency = 1.0;
-  const double cold_surcharge =
-      m.CmCost(cold, /*cm_pages=*/100, /*cm_cached=*/false) -
-      m.SortedCost(cold);
-  const double hot_surcharge =
-      m.CmCost(hot, /*cm_pages=*/100, /*cm_cached=*/false) -
-      m.SortedCost(hot);
-  EXPECT_NEAR(cold_surcharge, hot_surcharge, 1e-9);
-  EXPECT_NEAR(cold_surcharge, 5.5 + 0.078 * 100, 1e-9);
-}
-
 TEST(CostModelCalibrationTest, DefaultInputsReproduceHistoricalCosts) {
-  // Residency defaults to 0 everywhere: code that never heard of the
-  // calibration keeps computing the exact pre-calibration numbers.
+  // The §3/§4 formulas price cold (residency calibration lives in plan
+  // costing), so they reproduce the exact pre-calibration numbers.
   CostModel m;
   CostInputs in = BaseInputs();
-  EXPECT_DOUBLE_EQ(in.heap_residency, 0.0);
-  EXPECT_DOUBLE_EQ(in.index_residency, 0.0);
   EXPECT_DOUBLE_EQ(m.ScanCost(in), 0.078 * 30000.0);
   EXPECT_DOUBLE_EQ(m.PipelinedCost(in), 700 * 5.5 * 3);
   EXPECT_DOUBLE_EQ(m.SortedCost(in),

@@ -14,7 +14,9 @@
 // and replays that prefix into a shadow oracle keyed by the stable "id"
 // column. The recovered engine must then agree three ways -- CM probe ==
 // full scan == shadow oracle, exactly -- and keep agreeing while serving
-// fresh CRUD traffic (capacity reservation re-established).
+// fresh CRUD traffic (capacity reservation re-established). Some seeded
+// delete batches carry a row id past the end of the heap; the engine must
+// refuse such a batch whole, so it never reaches the log or the oracle.
 //
 // Crash points covered per run of the default suites: 12 random
 // mid-interleaving crashes (random torn bytes, so group-commit batches
@@ -96,9 +98,11 @@ struct OpEffect {
   Kind kind = kAppend;
   /// kAppend: the batch's (id, {c, u, v}) rows.
   std::vector<std::pair<int64_t, std::array<int64_t, 3>>> added;
-  /// kDelete / kUpdate: the victim id (and the new values for kUpdate).
+  /// kUpdate: the victim id and its new values.
   int64_t id = 0;
   std::array<int64_t, 3> vals = {0, 0, 0};
+  /// kDelete: every id the record deleted (one, or a whole batch).
+  std::vector<int64_t> removed;
 };
 
 void ApplyEffect(const OpEffect& e, OracleMap* oracle) {
@@ -107,7 +111,7 @@ void ApplyEffect(const OpEffect& e, OracleMap* oracle) {
       for (const auto& [id, vals] : e.added) (*oracle)[id] = vals;
       break;
     case OpEffect::kDelete:
-      oracle->erase(e.id);
+      for (const int64_t id : e.removed) oracle->erase(id);
       break;
     case OpEffect::kUpdate:
       (*oracle)[e.id] = e.vals;
@@ -246,9 +250,47 @@ struct RecoveryFuzzHarness {
     ASSERT_TRUE(engine->ApplyDelete(rid, engine->ReclusterEpoch()).ok());
     OpEffect e;
     e.kind = OpEffect::kDelete;
-    e.id = id;
+    e.removed = {id};
     history.push_back(std::move(e));
     ForgetId(id);
+  }
+
+  /// Batched delete (one WAL record) of up to four live rows. Every third
+  /// batch also carries a row id past the end of the heap: the whole batch
+  /// must then be refused with nothing tombstoned and nothing logged, so
+  /// neither the oracle nor the survivor accounting moves.
+  void DeleteBatch() {
+    const bool poisoned = rng.UniformInt(0, 2) == 0;
+    std::vector<int64_t> ids;
+    std::vector<RowId> rows;
+    const int n = int(rng.UniformInt(1, 4));
+    for (int i = 0; i < n; ++i) {
+      const int64_t id = PickLiveId();
+      if (std::find(ids.begin(), ids.end(), id) != ids.end()) continue;
+      ids.push_back(id);
+      rows.push_back(ResolveId(id));
+    }
+    if (poisoned) {
+      const RowId bad =
+          RowId(engine->table().NumRows() + size_t(rng.UniformInt(0, 64)));
+      rows.insert(rows.begin() + rng.UniformInt(0, int64_t(rows.size())),
+                  bad);
+    }
+    const uint64_t logged = durability->ops_logged();
+    const size_t dead = engine->table().NumDeleted();
+    const Status s = engine->ApplyDeletes(rows, engine->ReclusterEpoch());
+    if (poisoned) {
+      ASSERT_EQ(s.code(), Status::Code::kOutOfRange);
+      ASSERT_EQ(durability->ops_logged(), logged);
+      ASSERT_EQ(engine->table().NumDeleted(), dead);
+      return;
+    }
+    ASSERT_TRUE(s.ok());
+    OpEffect e;
+    e.kind = OpEffect::kDelete;
+    e.removed = ids;
+    history.push_back(std::move(e));
+    for (const int64_t id : ids) ForgetId(id);
   }
 
   void UpdateOne() {
@@ -388,8 +430,10 @@ void RunOps(RecoveryFuzzHarness& h, int ops) {
         h.AppendBatch(150);
         break;
       case 2:
-      case 3:
         h.DeleteOne();
+        break;
+      case 3:
+        h.DeleteBatch();
         break;
       case 4:
       case 5:

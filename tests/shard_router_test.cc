@@ -504,8 +504,8 @@ TEST(ShardRouterTest, ParallelScatterMatchesSequentialScatter) {
 
 TEST(ShardRouterTest, PoolLessEnginesScatterOnTheFallbackPool) {
   RouterFixture f;
-  // num_workers == 0: engine queues never drain, so parallel scatter must
-  // ride the router-owned fallback pool instead of hanging on Post.
+  // num_workers == 0: engine queues never drain, so the scatter must
+  // visit the shards inline instead of hanging on Post.
   RouterOptions opts;
   opts.num_shards = 4;
   opts.engine.num_workers = 0;

@@ -234,13 +234,6 @@ TEST(BufferPoolTest, FlushAllWritesDirtyOnly) {
   EXPECT_EQ(pool.num_dirty(), 0u);
 }
 
-TEST(BufferPoolTest, AccessIfCached) {
-  BufferPool pool(2);
-  EXPECT_FALSE(pool.AccessIfCached({0, 1}, false));
-  pool.Access({0, 1}, false);
-  EXPECT_TRUE(pool.AccessIfCached({0, 1}, false));
-}
-
 TEST(BufferPoolTest, FileIdsDistinguishPages) {
   BufferPool pool(4);
   const uint32_t f1 = pool.RegisterFile();

@@ -241,6 +241,53 @@ TEST(DurabilityTest, PayloadCodecsRoundTrip) {
   EXPECT_FALSE(Durability::DecodeUpdate(p, &update));
 }
 
+// Little-endian u64 as the payload codecs write it.
+void PutRawU64(std::string* out, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) out->push_back(char(uint8_t(v >> (8 * i))));
+}
+
+TEST(DurabilityTest, ImpossibleCountsFailTheDecodeInsteadOfThrowing) {
+  using serve::Durability;
+  // Each payload claims more elements than its bytes can hold; the
+  // decoders must refuse it before sizing a vector by the claim (an
+  // unchecked count threw bad_alloc / length_error out of Recover).
+  // append: first_row, n_rows, n_cols.
+  std::string append;
+  PutRawU64(&append, 0);
+  PutRawU64(&append, uint64_t{1} << 40);
+  PutRawU64(&append, 1);
+  Durability::AppendOp op;
+  EXPECT_FALSE(Durability::DecodeAppend(append, &op));
+  // One absurdly wide row.
+  std::string wide;
+  PutRawU64(&wide, 0);
+  PutRawU64(&wide, 1);
+  PutRawU64(&wide, uint64_t{1} << 62);
+  EXPECT_FALSE(Durability::DecodeAppend(wide, &op));
+  // Rows without columns would take no bytes at all.
+  std::string zero_width;
+  PutRawU64(&zero_width, 0);
+  PutRawU64(&zero_width, uint64_t{1} << 40);
+  PutRawU64(&zero_width, 0);
+  EXPECT_FALSE(Durability::DecodeAppend(zero_width, &op));
+
+  std::string deletes;
+  PutRawU64(&deletes, uint64_t{1} << 61);
+  std::vector<RowId> rows;
+  EXPECT_FALSE(Durability::DecodeDeletes(deletes, &rows));
+
+  // update: row, n_cols.
+  std::string update;
+  PutRawU64(&update, 7);
+  PutRawU64(&update, uint64_t{1} << 61);
+  Durability::UpdateOp upd;
+  EXPECT_FALSE(Durability::DecodeUpdate(update, &upd));
+
+  // Empty batches stay decodable.
+  EXPECT_TRUE(Durability::DecodeDeletes(Durability::EncodeDeletes({}), &rows));
+  EXPECT_TRUE(rows.empty());
+}
+
 TEST(DurabilityTest, GroupCommitFlushesEveryNthOp) {
   serve::DurabilityOptions opts;
   opts.group_commit_ops = 4;
