@@ -1,18 +1,22 @@
 // Micro-benchmarks (google-benchmark): raw operation throughput of the
 // core structures -- CM lookup/insert/delete, B+Tree insert/lookup/scan,
-// bucketer mapping, clustered-index probes, and the shared row filter
-// every access path re-checks its rows with. These complement the
+// bucketer mapping, clustered-index probes, the shared row filter
+// every access path re-checks its rows with, and the buffer-pool touches
+// a serving select prices its heap sweep with. These complement the
 // paper-figure benches with wall-clock numbers for the in-memory hot paths.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/correlation_map.h"
 #include "exec/access_path.h"
 #include "index/btree.h"
 #include "index/clustered_index.h"
+#include "storage/buffer_pool.h"
 #include "storage/table.h"
 
 namespace corrmap {
@@ -256,6 +260,95 @@ void BM_FilterRidList(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_FilterRidList);
+
+/// Shared setup of the pool-touch benches: the serving engine's pool shape
+/// (4096 pages, 8 stripes) and 4096 run starts for 64-page runs. Pattern 0
+/// keeps every run inside a working set of half the pool, so after warm-up
+/// every touch hits; pattern 1 spreads runs over a working set 6x the pool,
+/// like the heap of the crud_churn serving workload, so most touches miss
+/// and evict. Multi-threaded cases share one rig, built by thread 0 before
+/// the timed loop, as concurrent readers share the engine's pool.
+struct PoolTouchRig {
+  static constexpr uint64_t kRunPages = 64;
+  BufferPool pool{4096, 8};
+  uint32_t file = pool.RegisterFile();
+  std::vector<PageNo> starts;
+
+  explicit PoolTouchRig(int64_t pattern) {
+    const uint64_t working_set =
+        pattern == 0 ? pool.capacity_pages() / 2 : pool.capacity_pages() * 6;
+    Rng rng(12);
+    starts.resize(4096);
+    for (PageNo& p : starts) {
+      p = PageNo(rng.UniformInt(0, int64_t(working_set - kRunPages)));
+    }
+    for (uint64_t p = 0; p < working_set; ++p) pool.Touch({file, p});
+  }
+};
+
+std::unique_ptr<PoolTouchRig> pool_touch_rig;
+
+/// Builds the shared rig on thread 0; the timed loop's start barrier keeps
+/// the other threads off it until it exists.
+void SetUpPoolTouchRig(const benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    pool_touch_rig = std::make_unique<PoolTouchRig>(state.range(0));
+  }
+}
+
+/// ns/page per thread: the cost each reader pays, so contention between
+/// threads shows as a higher figure than the single-threaded case.
+void SetNsPerPage(benchmark::State& state) {
+  state.counters["ns_per_page"] = benchmark::Counter(
+      double(PoolTouchRig::kRunPages),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kAvgThreads | benchmark::Counter::kInvert);
+}
+
+/// ns/page of pricing one 64-page run with a Touch call per page.
+void BM_PoolTouch(benchmark::State& state) {
+  SetUpPoolTouchRig(state);
+  size_t next = size_t(state.thread_index()) * 997;
+  for (auto _ : state) {
+    PoolTouchRig& rig = *pool_touch_rig;
+    const PageNo first = rig.starts[next++ % rig.starts.size()];
+    uint64_t hits = 0;
+    for (uint64_t i = 0; i < PoolTouchRig::kRunPages; ++i) {
+      hits += rig.pool.Touch({rig.file, first + i});
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  SetNsPerPage(state);
+}
+BENCHMARK(BM_PoolTouch)
+    ->ArgName("thrash")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(3)
+    ->UseRealTime();
+
+/// ns/page of pricing the same runs with one TouchRun call each.
+void BM_PoolTouchRun(benchmark::State& state) {
+  SetUpPoolTouchRig(state);
+  std::array<uint8_t, PoolTouchRig::kRunPages> hit{};
+  size_t next = size_t(state.thread_index()) * 997;
+  for (auto _ : state) {
+    PoolTouchRig& rig = *pool_touch_rig;
+    const PageNo first = rig.starts[next++ % rig.starts.size()];
+    rig.pool.TouchRun(rig.file, first, hit.size(), hit.data());
+    benchmark::DoNotOptimize(hit.data());
+    benchmark::ClobberMemory();
+  }
+  SetNsPerPage(state);
+}
+BENCHMARK(BM_PoolTouchRun)
+    ->ArgName("thrash")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(3)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace corrmap

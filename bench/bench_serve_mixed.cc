@@ -236,6 +236,11 @@ struct ShardBenchResult {
   }
 };
 
+/// Lookups each reader of the shard A/B runs: enough that a leg lasts
+/// ~100 ms even routed, so one scheduler stall of a few tens of ms on a
+/// shared machine cannot halve a leg's throughput.
+constexpr size_t kShardLookupsPerReader = 160;
+
 /// Router-vs-single-engine A/B under identical custom reader loops: 16
 /// reader threads replay Zipf-skewed clustered point lookups (each select
 /// sleeps `stall_us` per simulated disk ms, like the mixed runs) while two
@@ -243,9 +248,13 @@ struct ShardBenchResult {
 /// the same pre-seeded unclustered tail. A clustered point routes to
 /// exactly one shard, so the routed leg sweeps ~1/N of the tail per select
 /// and its appends spread over N append locks -- that is where the
-/// wall-clock win comes from. Afterwards, tails drained, correlated
-/// cat5-point traffic measures CM-guided scatter pruning: the router must
-/// execute strictly fewer shard selects than an unpruned full scatter.
+/// wall-clock win comes from. Throughput is the lookups over the readers'
+/// own wall time (start to the last reader's finish): the writers' fixed
+/// 10 ms pauses would otherwise floor a fast leg's length and cap the
+/// ratio below what the readers achieved. Afterwards, tails drained,
+/// correlated cat5-point traffic measures CM-guided scatter pruning: the
+/// router must execute strictly fewer shard selects than an unpruned full
+/// scatter.
 ShardBenchResult RunShardedServing(const EbayGenConfig& cfg,
                                    size_t num_shards, double zipf_s,
                                    size_t readers, size_t per_reader,
@@ -296,6 +305,7 @@ ShardBenchResult RunShardedServing(const EbayGenConfig& cfg,
         ShardLeg leg;
         std::vector<std::thread> threads;
         std::vector<double> sim(readers, 0);
+        std::vector<std::chrono::steady_clock::time_point> done(readers);
         const auto t0 = std::chrono::steady_clock::now();
         for (size_t r = 0; r < readers; ++r) {
           threads.emplace_back([&, r] {
@@ -308,6 +318,7 @@ ShardBenchResult RunShardedServing(const EbayGenConfig& cfg,
               std::this_thread::sleep_for(
                   std::chrono::duration<double, std::micro>(ms * stall_us));
             }
+            done[r] = std::chrono::steady_clock::now();
           });
         }
         for (size_t w = 0; w < kShardWriters; ++w) {
@@ -322,8 +333,8 @@ ShardBenchResult RunShardedServing(const EbayGenConfig& cfg,
         }
         for (auto& th : threads) th.join();
         const double wall =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
+            std::chrono::duration<double>(
+                *std::max_element(done.begin(), done.end()) - t0)
                 .count();
         const double total = double(readers * per_reader);
         leg.lookups_per_s = wall > 0 ? total / wall : 0;
@@ -942,7 +953,7 @@ int main(int argc, char** argv) {
     scfg.min_items_per_category = 90;
     scfg.max_items_per_category = 150;
     const ShardBenchResult sh = RunShardedServing(
-        scfg, shards_only, zipf_s, /*readers=*/16, /*per_reader=*/40,
+        scfg, shards_only, zipf_s, /*readers=*/16, kShardLookupsPerReader,
         /*seed_tail_rows=*/24000, kStallUsPerSimMs);
     PrintShardSection(sh);
     if (json_path != nullptr) {
@@ -1152,7 +1163,7 @@ int main(int argc, char** argv) {
   scfg.min_items_per_category = 90;
   scfg.max_items_per_category = 150;
   const ShardBenchResult sh = RunShardedServing(
-      scfg, /*num_shards=*/4, zipf_s, /*readers=*/16, /*per_reader=*/40,
+      scfg, /*num_shards=*/4, zipf_s, /*readers=*/16, kShardLookupsPerReader,
       /*seed_tail_rows=*/24000, kStallUsPerSimMs);
   PrintShardSection(sh);
   const bool shard_ok = sh.speedup_ok && sh.pruning_ok && sh.invariants_ok;

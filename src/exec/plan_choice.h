@@ -87,7 +87,7 @@ struct PlanContext {
   /// clustered-index file (BufferPool::ResidencyOf), clamped to [0, 1].
   double heap_residency = 0;
   double cidx_residency = 0;
-  /// Extent-granular heap residency (BufferPool::ResidencyOfExtent hit
+  /// Extent-granular heap residency (BufferPool::ResidencyOfWithExtents hit
   /// rates; entry i covers heap pages [i*heap_extent_pages, ...)). When
   /// non-empty, candidates refine the scalar heap_residency per page run
   /// via CostModel::RunResidency -- a hot clustered range prices near-CPU

@@ -202,16 +202,18 @@ void ServingEngine::MaybeRefreshCalibration(const EpochState& st) const {
   if (n < options_.calibration_period) return;
   cell.selects_since.store(0, std::memory_order_release);
   PlanCalibration fresh;
-  fresh.heap_residency =
-      pool_->ResidencyOf(st.heap_file, st.table->NumPages()).hit_rate;
+  // One sweep reads the whole-heap and per-extent residency under a
+  // single lock hold per stripe.
+  std::vector<FileResidency> extents;
+  const FileResidency heap = pool_->ResidencyOfWithExtents(
+      st.heap_file, st.table->NumPages(), &extents);
+  fresh.heap_residency = heap.hit_rate;
   fresh.cidx_residency = pool_->ResidencyOf(st.cidx_file).hit_rate;
   // Extent-granular heap residency for the plan refinement: extents the
   // workload has not touched carry the whole-file scalar, so only ranges
   // with actual signal diverge from the legacy calibration.
-  const uint64_t n_extents = BufferPool::NumExtents(st.table->NumPages());
-  fresh.heap_extents.reserve(n_extents);
-  for (uint64_t e = 0; e < n_extents; ++e) {
-    const FileResidency fr = pool_->ResidencyOfExtent(st.heap_file, e);
+  fresh.heap_extents.reserve(extents.size());
+  for (const FileResidency& fr : extents) {
     fresh.heap_extents.push_back(fr.observed_touches > 0
                                      ? fr.hit_rate
                                      : fresh.heap_residency);
@@ -243,18 +245,24 @@ double ServingEngine::ChargeHeapRuns(const EpochState& st,
   if (pool_ == nullptr) {
     return options_.disk.CostMs(CostOfRuns(runs));
   }
-  // The pool is internally striped: each Touch locks only its page's
-  // stripe, so concurrent readers charging disjoint ranges do not contend.
+  // TouchRun locks each stripe the chunk hits once, and the hit flags are
+  // priced page by page in run order, so the sum is the same double a
+  // Touch-per-page loop gives.
   const double cold_page = options_.disk.seq_page_ms();
   const double cold_seek = options_.disk.seek_ms();
+  constexpr uint64_t kChunkPages = BufferPool::kTouchRunWindow;
+  uint8_t hit[kChunkPages];
   double ms = 0;
   for (const PageRun& run : runs) {
-    for (uint64_t i = 0; i < run.length; ++i) {
-      const bool hit = pool_->Touch({st.heap_file, run.first + i});
-      ms += hit ? CostModel::kResidentPageMs : cold_page;
-      if (i == 0) {
-        // The run's seek reaches the device only if its first page does.
-        ms += hit ? CostModel::kResidentSeekMs : cold_seek;
+    for (uint64_t done = 0; done < run.length; done += kChunkPages) {
+      const uint64_t n = std::min(kChunkPages, run.length - done);
+      pool_->TouchRun(st.heap_file, run.first + done, n, hit);
+      for (uint64_t i = 0; i < n; ++i) {
+        ms += hit[i] ? CostModel::kResidentPageMs : cold_page;
+        if (done + i == 0) {
+          // The run's seek reaches the device only if its first page does.
+          ms += hit[i] ? CostModel::kResidentSeekMs : cold_seek;
+        }
       }
     }
   }

@@ -163,7 +163,7 @@ struct PlanCalibration {
   double heap_residency = 0;
   double cidx_residency = 0;
   /// Per-extent decayed hit rates of the epoch's heap file
-  /// (BufferPool::ResidencyOfExtent; entry i covers heap pages
+  /// (BufferPool::ResidencyOfWithExtents; entry i covers heap pages
   /// [i*BufferPool::kExtentPages, ...)). Empty until the first refresh;
   /// plan costing falls back to the scalar, so a cold epoch prices
   /// exactly as before extents existed.

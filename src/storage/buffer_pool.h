@@ -8,13 +8,19 @@
 // exactly like the classic global-LRU pool; the serving layer constructs a
 // multi-striped pool so concurrent readers charging their sweeps no longer
 // funnel through one lock.
+//
+// Each stripe's frames live in a fixed array sized at construction, linked
+// into an LRU list by 32-bit indices and found through an open-addressing
+// page->frame index, so hits, misses and evictions never allocate once the
+// pool is built. (The first touch of a new (file, extent) still creates
+// that extent's residency counter.)
 #ifndef CORRMAP_STORAGE_BUFFER_POOL_H_
 #define CORRMAP_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,8 +75,13 @@ class BufferPool {
  public:
   /// `num_stripes` > 1 partitions the capacity into independent LRU
   /// stripes keyed by page hash (set-associative flavor); 1 keeps the
-  /// classic single global LRU. Clamped so every stripe holds >= 1 page.
+  /// classic single global LRU. Clamped so every stripe holds >= 1 page,
+  /// and to kMaxStripes.
   explicit BufferPool(size_t capacity_pages, size_t num_stripes = 1);
+
+  /// Upper bound on the stripe count: TouchRun tracks the stripes a run
+  /// hits in one 64-bit mask.
+  static constexpr size_t kMaxStripes = 64;
 
   size_t capacity_pages() const { return capacity_pages_; }
   size_t num_stripes() const { return stripes_.size(); }
@@ -94,10 +105,23 @@ class BufferPool {
   /// touch. Thread-safe: only this page's stripe is locked.
   bool Touch(PageId page);
 
+  /// Touches pages [first, first + length) of `file` exactly as `length`
+  /// successive Touch calls would, and sets hit[i] to 1 if page first + i
+  /// was resident, else 0. Each stripe the run hits is locked once and
+  /// sees its own pages in ascending order -- the same per-stripe touch
+  /// sequence as the page-by-page loop, and stripes share no state, so
+  /// hits, misses, evictions and the decayed extent counters come out
+  /// bit-identical. `length` <= kTouchRunWindow (callers split longer
+  /// runs); `hit` must hold `length` bytes.
+  void TouchRun(uint32_t file, PageNo first, uint64_t length, uint8_t* hit);
+
+  /// Most pages one TouchRun call takes (a multiple of 64).
+  static constexpr uint64_t kTouchRunWindow = 256;
+
   bool IsCached(PageId page) const;
 
   /// Decay window (in touches of one extent) for the hit-rate estimate
-  /// exported through ResidencyOf / ResidencyOfExtent.
+  /// exported through ResidencyOf / ResidencyOfWithExtents.
   static constexpr double kResidencyDecayWindow = 512;
 
   /// Residency is tracked per fixed-size extent of kExtentPages pages
@@ -116,9 +140,16 @@ class BufferPool {
   /// (resident_fraction needs it; pass 0 to skip it).
   FileResidency ResidencyOf(uint32_t file, uint64_t file_pages = 0) const;
 
-  /// Extent-granular residency: decayed hit rate and resident pages of
-  /// extent `extent` (pages [extent*kExtentPages, ...)) of `file` alone.
-  FileResidency ResidencyOfExtent(uint32_t file, uint64_t extent) const;
+  /// Returns ResidencyOf(file, file_pages) and sets (*out)[e] to the
+  /// extent-granular residency of extent e (pages [e*kExtentPages, ...))
+  /// of `file` alone, for every e < NumExtents(file_pages): its decayed
+  /// hit rate, and its resident pages (resident_fraction over
+  /// kExtentPages). All of it is read in one sweep that locks each stripe
+  /// once; the whole-file sums accumulate in ResidencyOf's order, so they
+  /// are bit-identical to its result when no other thread touches the
+  /// pool in between.
+  FileResidency ResidencyOfWithExtents(uint32_t file, uint64_t file_pages,
+                                       std::vector<FileResidency>* out) const;
 
   /// Drops `file`'s per-extent residency counters once the file is
   /// retired (the serving engine calls it as an epoch's state dies). Its
@@ -164,8 +195,14 @@ class BufferPool {
   DiskStats DrainIo();
 
  private:
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  /// One page slot. prev/next link the stripe's LRU list by frame index
+  /// (prev toward MRU, next toward LRU).
   struct Frame {
-    std::list<PageId>::iterator lru_it;
+    PageId page;
+    uint32_t prev = kNoFrame;
+    uint32_t next = kNoFrame;
     bool dirty = false;
   };
 
@@ -179,17 +216,32 @@ class BufferPool {
     uint64_t resident_pages = 0;
   };
 
-  /// One LRU partition: its own lock, frames, capacity share, counters
-  /// and ledgers. All mutation happens under `mu`.
+  /// One LRU partition: its own lock, frames, counters and ledgers. The
+  /// frame array is sized to the stripe's capacity at construction; frames
+  /// [0, used) hold pages. `index` maps a page to its frame by linear
+  /// probing from the top bits of the page hash (the low bits pick the
+  /// stripe); it holds at least twice as many slots as frames and deletes
+  /// by backward shift, so it never needs tombstones or a rehash. All
+  /// mutation happens under `mu`.
   struct Stripe {
     mutable std::mutex mu;
-    std::list<PageId> lru;  // front = MRU, back = LRU
-    std::unordered_map<PageId, Frame, PageIdHash> frames;
+    std::vector<Frame> frames;
+    std::vector<uint32_t> index;  // frame number, or kNoFrame when empty
+    unsigned index_shift = 0;     // hash >> index_shift = home slot
+    uint32_t used = 0;
+    uint32_t mru = kNoFrame;
+    uint32_t lru = kNoFrame;
     std::unordered_map<uint64_t, ExtentCounters> extent_counters;
-    size_t capacity = 0;
     size_t num_dirty = 0;
     BufferPoolStats stats;
     DiskStats io;
+
+    void Init(size_t capacity);
+    uint32_t Find(PageId page, uint64_t hash) const;
+    void IndexInsert(uint32_t frame, uint64_t hash);
+    void IndexErase(uint32_t frame);
+    void Unlink(uint32_t frame);
+    void PushMru(uint32_t frame);
   };
 
   static uint64_t ExtentKey(uint32_t file, uint64_t extent) {
@@ -198,21 +250,25 @@ class BufferPool {
   static bool KeyOfFile(uint64_t key, uint32_t file) {
     return (key & ~uint64_t(0xff'ffff'ffff)) == uint64_t(file) << 40;
   }
+  static uint64_t Hash(PageId page) { return PageIdHash{}(page); }
 
-  Stripe& StripeOf(PageId page) {
-    return stripes_[PageIdHash{}(page) % stripes_.size()];
-  }
-  const Stripe& StripeOf(PageId page) const {
-    return stripes_[PageIdHash{}(page) % stripes_.size()];
-  }
+  size_t StripeIndex(uint64_t hash) const { return hash % stripes_.size(); }
 
-  static void EvictOne(Stripe& s);
-  static void NoteTouch(Stripe& s, PageId page, bool hit);
-  static void AdmitLocked(Stripe& s, PageId page, bool mark_dirty);
-  /// The one touch path behind Access and Touch: a hit moves `page` to
-  /// MRU, a miss admits it (no I/O charge; Access adds the read seek).
-  /// Returns whether the page was resident. Caller holds s.mu.
-  static bool TouchLocked(Stripe& s, PageId page, bool mark_dirty);
+  /// Evicts the stripe's LRU page and returns its now-free frame.
+  static uint32_t EvictOne(Stripe& s);
+  /// The one touch path behind Access, Touch and TouchRun: a hit moves
+  /// `page` to MRU, a miss admits it (no I/O charge; Access adds the read
+  /// seek). `fc` is the counter of `page`'s extent in this stripe, which
+  /// the touch feeds. Returns whether the page was resident. Caller holds
+  /// s.mu.
+  static bool TouchLocked(Stripe& s, PageId page, uint64_t hash,
+                          bool mark_dirty, ExtentCounters& fc);
+  /// Folds one stripe's counters for `file` into `sum` and, when `extents`
+  /// is non-empty, into the per-extent sums. Caller holds s.mu.
+  static void SumFileCounters(const Stripe& s, uint32_t file,
+                              ExtentCounters* sum,
+                              std::span<ExtentCounters> extents);
+  static FileResidency ResidencyFrom(const ExtentCounters& sum, uint64_t pages);
 
   size_t capacity_pages_;
   std::vector<Stripe> stripes_;

@@ -2,12 +2,17 @@
 // buffer pool, WAL.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <list>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "common/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_model.h"
 #include "storage/page.h"
@@ -373,25 +378,33 @@ TEST(BufferPoolTest, ExtentResidencyIsTrackedIndependently) {
   }
   for (PageNo p = 64; p < 72; ++p) pool.Touch({f, p});
 
-  const FileResidency hot = pool.ResidencyOfExtent(f, 0);
-  const FileResidency cold = pool.ResidencyOfExtent(f, 1);
+  std::vector<FileResidency> extents;
+  const FileResidency whole192 = pool.ResidencyOfWithExtents(f, 192, &extents);
+  ASSERT_EQ(extents.size(), 3u);
+  const FileResidency hot = extents[0];
+  const FileResidency cold = extents[1];
   EXPECT_GT(hot.hit_rate, 0.8);
   EXPECT_EQ(hot.resident_pages, 8u);
+  EXPECT_DOUBLE_EQ(hot.resident_fraction, 8.0 / 64.0);
   EXPECT_DOUBLE_EQ(cold.hit_rate, 0.0);
   EXPECT_EQ(cold.resident_pages, 8u);
   // Untouched extent: no signal at all.
-  EXPECT_DOUBLE_EQ(pool.ResidencyOfExtent(f, 2).observed_touches, 0.0);
+  EXPECT_DOUBLE_EQ(extents[2].observed_touches, 0.0);
+  EXPECT_EQ(extents[2].resident_pages, 0u);
 
   // The whole-file view aggregates both extents.
   const FileResidency whole = pool.ResidencyOf(f, 128);
   EXPECT_EQ(whole.resident_pages, 16u);
   EXPECT_GT(whole.hit_rate, cold.hit_rate);
   EXPECT_LT(whole.hit_rate, hot.hit_rate);
+  EXPECT_EQ(whole192.hit_rate, whole.hit_rate);
+  EXPECT_EQ(whole192.resident_pages, 16u);
 
   // Clear resets the extent counters too.
   pool.Clear();
-  EXPECT_EQ(pool.ResidencyOfExtent(f, 0).resident_pages, 0u);
-  EXPECT_DOUBLE_EQ(pool.ResidencyOfExtent(f, 0).observed_touches, 0.0);
+  (void)pool.ResidencyOfWithExtents(f, 192, &extents);
+  EXPECT_EQ(extents[0].resident_pages, 0u);
+  EXPECT_DOUBLE_EQ(extents[0].observed_touches, 0.0);
 }
 
 TEST(BufferPoolTest, StatsSnapshotStaysCoherentUnderConcurrentTraffic) {
@@ -449,6 +462,418 @@ TEST(BufferPoolTest, StatsSnapshotStaysCoherentUnderConcurrentTraffic) {
   EXPECT_EQ(snap.stats.misses, pool.stats().misses);
   EXPECT_EQ(snap.stats.evictions, pool.stats().evictions);
   EXPECT_GT(snap.stats.evictions, 0u);
+}
+
+/// Reference LRU pool for the differential test: the node-based
+/// std::list + std::unordered_map stripe logic that BufferPool's flat
+/// frame arrays replaced, with the same striping, capacity split, extent
+/// counters and charging. Its extent maps see the same insert/erase
+/// sequence as the pool's, so residency sums come out in the same order
+/// and compare with exact ==.
+class ReferencePool {
+ public:
+  ReferencePool(size_t capacity_pages, size_t num_stripes)
+      : capacity_(capacity_pages == 0 ? 1 : capacity_pages) {
+    num_stripes = std::clamp<size_t>(
+        num_stripes, 1, std::min(BufferPool::kMaxStripes, capacity_));
+    stripes_ = std::vector<Stripe>(num_stripes);
+    for (size_t i = 0; i < num_stripes; ++i) {
+      stripes_[i].capacity =
+          capacity_ / num_stripes + (i < capacity_ % num_stripes ? 1 : 0);
+    }
+  }
+
+  bool Touch(PageId page, bool mark_dirty) {
+    Stripe& s = StripeOf(page);
+    Counters& fc = s.counters[Key(page.file, Extent(page.page))];
+    const double keep = 1.0 - 1.0 / BufferPool::kResidencyDecayWindow;
+    auto it = s.frames.find(page);
+    const bool hit = it != s.frames.end();
+    fc.hits *= keep;
+    fc.misses *= keep;
+    (hit ? fc.hits : fc.misses) += 1.0;
+    if (hit) {
+      ++s.stats.hits;
+      s.lru.erase(it->second.lru_it);
+      s.lru.push_front(page);
+      it->second.lru_it = s.lru.begin();
+      if (mark_dirty && !it->second.dirty) {
+        it->second.dirty = true;
+        ++s.num_dirty;
+      }
+      return true;
+    }
+    ++s.stats.misses;
+    if (s.frames.size() >= s.capacity) {
+      const PageId victim = s.lru.back();
+      s.lru.pop_back();
+      auto v = s.frames.find(victim);
+      ++s.stats.evictions;
+      if (v->second.dirty) {
+        ++s.stats.dirty_evictions;
+        ++s.io.pages_written;
+        --s.num_dirty;
+      }
+      s.frames.erase(v);
+      auto vc = s.counters.find(Key(victim.file, Extent(victim.page)));
+      if (vc != s.counters.end() && vc->second.resident > 0) {
+        --vc->second.resident;
+      }
+    }
+    s.lru.push_front(page);
+    s.frames[page] = Frame{s.lru.begin(), mark_dirty};
+    if (mark_dirty) ++s.num_dirty;
+    ++fc.resident;
+    return false;
+  }
+
+  void Access(PageId page, bool mark_dirty) {
+    if (!Touch(page, mark_dirty)) ++StripeOf(page).io.seeks;
+  }
+
+  bool IsCached(PageId page) const {
+    return StripeOf(page).frames.count(page) > 0;
+  }
+
+  void ForgetFile(uint32_t file) {
+    for (Stripe& s : stripes_) {
+      std::erase_if(s.counters, [file](const auto& kv) {
+        return (kv.first >> 40) == file;
+      });
+    }
+  }
+
+  void FlushAll() {
+    for (Stripe& s : stripes_) {
+      for (auto& [page, frame] : s.frames) {
+        if (frame.dirty) ++s.io.pages_written;
+        frame.dirty = false;
+      }
+      s.num_dirty = 0;
+    }
+  }
+
+  void Clear() {
+    for (Stripe& s : stripes_) {
+      s.frames.clear();
+      s.lru.clear();
+      s.counters.clear();
+      s.num_dirty = 0;
+    }
+  }
+
+  DiskStats DrainIo() {
+    DiskStats out;
+    for (Stripe& s : stripes_) {
+      out += s.io;
+      s.io = DiskStats{};
+    }
+    return out;
+  }
+
+  BufferPoolSnapshot Snapshot() const {
+    BufferPoolSnapshot out;
+    out.capacity_pages = capacity_;
+    for (const Stripe& s : stripes_) {
+      out.stats.hits += s.stats.hits;
+      out.stats.misses += s.stats.misses;
+      out.stats.evictions += s.stats.evictions;
+      out.stats.dirty_evictions += s.stats.dirty_evictions;
+      out.num_cached += s.frames.size();
+      out.num_dirty += s.num_dirty;
+    }
+    return out;
+  }
+
+  FileResidency ResidencyOf(uint32_t file, uint64_t file_pages) const {
+    double hits = 0, misses = 0;
+    FileResidency out;
+    for (const Stripe& s : stripes_) {
+      for (const auto& [key, fc] : s.counters) {
+        if ((key >> 40) != file) continue;
+        hits += fc.hits;
+        misses += fc.misses;
+        out.resident_pages += fc.resident;
+      }
+    }
+    return Finish(out, hits, misses, file_pages);
+  }
+
+  FileResidency ResidencyOfExtent(uint32_t file, uint64_t extent) const {
+    double hits = 0, misses = 0;
+    FileResidency out;
+    for (const Stripe& s : stripes_) {
+      auto it = s.counters.find(Key(file, extent));
+      if (it == s.counters.end()) continue;
+      hits += it->second.hits;
+      misses += it->second.misses;
+      out.resident_pages += it->second.resident;
+    }
+    return Finish(out, hits, misses, BufferPool::kExtentPages);
+  }
+
+ private:
+  struct Frame {
+    std::list<PageId>::iterator lru_it;
+    bool dirty = false;
+  };
+  struct Counters {
+    double hits = 0;
+    double misses = 0;
+    uint64_t resident = 0;
+  };
+  struct Stripe {
+    std::list<PageId> lru;  // front = MRU
+    std::unordered_map<PageId, Frame, PageIdHash> frames;
+    std::unordered_map<uint64_t, Counters> counters;
+    size_t capacity = 0;
+    size_t num_dirty = 0;
+    BufferPoolStats stats;
+    DiskStats io;
+  };
+
+  static uint64_t Extent(PageNo p) { return p / BufferPool::kExtentPages; }
+  static uint64_t Key(uint32_t file, uint64_t extent) {
+    return (uint64_t(file) << 40) ^ extent;
+  }
+  static FileResidency Finish(FileResidency out, double hits, double misses,
+                              uint64_t pages) {
+    out.observed_touches = hits + misses;
+    if (out.observed_touches > 0) out.hit_rate = hits / out.observed_touches;
+    if (pages > 0) {
+      out.resident_fraction =
+          std::min(1.0, double(out.resident_pages) / double(pages));
+    }
+    return out;
+  }
+  Stripe& StripeOf(PageId page) {
+    return stripes_[PageIdHash{}(page) % stripes_.size()];
+  }
+  const Stripe& StripeOf(PageId page) const {
+    return stripes_[PageIdHash{}(page) % stripes_.size()];
+  }
+
+  size_t capacity_;
+  std::vector<Stripe> stripes_;
+};
+
+void ExpectSameResidency(const FileResidency& a, const FileResidency& b) {
+  // Exact ==: the pool promises bit-identical sums, not close ones.
+  EXPECT_EQ(a.hit_rate, b.hit_rate);
+  EXPECT_EQ(a.resident_fraction, b.resident_fraction);
+  EXPECT_EQ(a.resident_pages, b.resident_pages);
+  EXPECT_EQ(a.observed_touches, b.observed_touches);
+}
+
+/// Compares every observable of `pool` with `ref`: counters, the I/O
+/// ledger (drained from `pool`; `ref_io` is what `ref` drained), residency
+/// of each file (whole, and whole plus per extent from the one-sweep
+/// view) and whether `probe` is cached.
+void ExpectPoolMatches(BufferPool& pool, const ReferencePool& ref,
+                       const DiskStats& ref_io, uint32_t num_files,
+                       uint64_t file_pages, PageId probe) {
+  const BufferPoolSnapshot got = pool.StatsSnapshot();
+  const BufferPoolSnapshot want = ref.Snapshot();
+  ASSERT_EQ(got.stats.hits, want.stats.hits);
+  ASSERT_EQ(got.stats.misses, want.stats.misses);
+  ASSERT_EQ(got.stats.evictions, want.stats.evictions);
+  ASSERT_EQ(got.stats.dirty_evictions, want.stats.dirty_evictions);
+  ASSERT_EQ(got.num_cached, want.num_cached);
+  ASSERT_EQ(got.num_dirty, want.num_dirty);
+  ASSERT_EQ(pool.num_cached(), want.num_cached);
+  ASSERT_EQ(pool.num_dirty(), want.num_dirty);
+  ASSERT_EQ(pool.DrainIo(), ref_io);
+  ASSERT_EQ(pool.IsCached(probe), ref.IsCached(probe));
+  std::vector<FileResidency> extents;
+  for (uint32_t f = 0; f < num_files; ++f) {
+    ExpectSameResidency(pool.ResidencyOf(f, file_pages),
+                        ref.ResidencyOf(f, file_pages));
+    const FileResidency whole =
+        pool.ResidencyOfWithExtents(f, file_pages, &extents);
+    ExpectSameResidency(whole, ref.ResidencyOf(f, file_pages));
+    ASSERT_EQ(extents.size(), BufferPool::NumExtents(file_pages));
+    for (uint64_t e = 0; e < extents.size(); ++e) {
+      ExpectSameResidency(extents[e], ref.ResidencyOfExtent(f, e));
+    }
+  }
+}
+
+TEST(BufferPoolTest, MatchesReferenceLruUnderRandomOperations) {
+  // Differential test: seeded random mixes of every pool operation, on
+  // pools of several stripe counts and capacities, must leave the pool in
+  // exactly the reference's state after every step. `pool` prices runs
+  // with TouchRun and `twin` with one Touch per page, so the test also
+  // pins TouchRun to the page-by-page sequence.
+  constexpr uint32_t kFiles = 3;
+  for (const size_t stripes : {1, 3, 8, 16}) {
+    for (const size_t capacity : {1, 7, 512}) {
+      std::string config = std::to_string(stripes);
+      config += " stripes, capacity ";
+      config += std::to_string(capacity);
+      SCOPED_TRACE(config);
+      BufferPool pool(capacity, stripes);
+      BufferPool twin(capacity, stripes);
+      ReferencePool ref(capacity, stripes);
+      // Pages span several extents past the capacity, with a hot prefix
+      // so small pools still hit.
+      const uint64_t file_pages = 4 * capacity + 320;
+      const uint64_t hot = std::max<uint64_t>(capacity, 8);
+      Rng rng(1000 * stripes + capacity);
+      auto random_page = [&] {
+        const uint32_t file = uint32_t(rng.UniformInt(0, kFiles - 1));
+        const uint64_t span = rng.Bernoulli(0.5) ? hot : file_pages;
+        return PageId{file, PageNo(rng.UniformInt(0, int64_t(span) - 1))};
+      };
+      std::vector<uint8_t> hits(file_pages);
+      for (int step = 0; step < 600; ++step) {
+        const int op = int(rng.UniformInt(0, 99));
+        if (op < 25) {
+          const PageId p = random_page();
+          const bool dirty = rng.Bernoulli(0.3);
+          pool.Access(p, dirty);
+          twin.Access(p, dirty);
+          ref.Access(p, dirty);
+        } else if (op < 45) {
+          const PageId p = random_page();
+          const bool want = ref.Touch(p, false);
+          ASSERT_EQ(pool.Touch(p), want);
+          ASSERT_EQ(twin.Touch(p), want);
+        } else if (op < 85) {
+          const PageId start = random_page();
+          const int shape = int(rng.UniformInt(0, 3));
+          uint64_t length = uint64_t(shape);  // 0 or 1 pages
+          if (shape == 2) length = uint64_t(rng.UniformInt(2, 64));
+          if (shape == 3) {
+            length = uint64_t(rng.UniformInt(
+                200, int64_t(BufferPool::kTouchRunWindow)));
+          }
+          pool.TouchRun(start.file, start.page, length, hits.data());
+          for (uint64_t i = 0; i < length; ++i) {
+            const PageId p{start.file, start.page + i};
+            const bool want = ref.Touch(p, false);
+            ASSERT_EQ(twin.Touch(p), want) << "page " << p.page;
+            ASSERT_EQ(hits[i], uint8_t(want)) << "page " << p.page;
+          }
+        } else if (op < 90) {
+          const PageId p = random_page();
+          ASSERT_EQ(pool.IsCached(p), ref.IsCached(p));
+        } else if (op < 94) {
+          const uint32_t f = uint32_t(rng.UniformInt(0, kFiles - 1));
+          pool.ForgetFile(f);
+          twin.ForgetFile(f);
+          ref.ForgetFile(f);
+        } else if (op < 98) {
+          pool.FlushAll();
+          twin.FlushAll();
+          ref.FlushAll();
+        } else {
+          pool.Clear();
+          twin.Clear();
+          ref.Clear();
+        }
+        const PageId probe = random_page();
+        const DiskStats ref_io = ref.DrainIo();
+        ExpectPoolMatches(pool, ref, ref_io, kFiles, file_pages, probe);
+        ExpectPoolMatches(twin, ref, ref_io, kFiles, file_pages, probe);
+        if (HasFatalFailure() || HasNonfatalFailure()) return;
+      }
+      // The mix reached every path: hits, clean and dirty evictions.
+      const BufferPoolSnapshot end = ref.Snapshot();
+      EXPECT_GT(end.stats.hits, 0u);
+      EXPECT_GT(end.stats.evictions, end.stats.dirty_evictions);
+      EXPECT_GT(end.stats.dirty_evictions, 0u);
+    }
+  }
+}
+
+TEST(BufferPoolTest, ResidencyOfWithExtentsWholeFileEqualsResidencyOfExactly) {
+  // The calibration refresh reads whole-file and per-extent residency in
+  // one sweep; its whole-file part must be the very doubles ResidencyOf
+  // gives (the per-extent part is checked against the reference pool in
+  // MatchesReferenceLruUnderRandomOperations).
+  BufferPool pool(96, /*num_stripes=*/8);
+  const uint32_t f = pool.RegisterFile();
+  const uint32_t other = pool.RegisterFile();
+  Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    const int64_t span = rng.Bernoulli(0.6) ? 40 : 700;
+    const PageNo p = PageNo(rng.UniformInt(0, span));
+    pool.Touch({rng.Bernoulli(0.8) ? f : other, p});
+  }
+  std::vector<FileResidency> extents;
+  for (const uint64_t file_pages : {0, 100, 640, 2000}) {
+    const FileResidency whole =
+        pool.ResidencyOfWithExtents(f, file_pages, &extents);
+    ExpectSameResidency(whole, pool.ResidencyOf(f, file_pages));
+    ASSERT_EQ(extents.size(), BufferPool::NumExtents(file_pages));
+  }
+  EXPECT_GT(pool.ResidencyOf(f, 0).observed_touches, 0.0);
+}
+
+TEST(BufferPoolTest, TouchRunStaysCoherentUnderConcurrentTraffic) {
+  // Long TouchRun sweeps race single-page touches, ForgetFile and
+  // snapshots. Each snapshot must satisfy the StatsSnapshot contract and
+  // every touch must be counted exactly once.
+  BufferPool pool(256, /*num_stripes=*/8);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> touches{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&pool, &stop, &touches, t] {
+      Rng rng(100 + t);
+      std::vector<uint8_t> hit(BufferPool::kTouchRunWindow);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t length = uint64_t(
+            rng.UniformInt(0, int64_t(BufferPool::kTouchRunWindow)));
+        pool.TouchRun(t, PageNo(rng.UniformInt(0, 1500)), length, hit.data());
+        touches.fetch_add(length, std::memory_order_relaxed);
+      }
+    });
+  }
+  threads.emplace_back([&pool, &stop, &touches] {
+    Rng rng(200);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const PageId p{uint32_t(rng.UniformInt(0, 2)),
+                     PageNo(rng.UniformInt(0, 1800))};
+      if (rng.Bernoulli(0.5)) {
+        pool.Touch(p);
+      } else {
+        pool.Access(p, rng.Bernoulli(0.5));
+      }
+      touches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  threads.emplace_back([&pool, &stop] {
+    Rng rng(300);
+    std::vector<FileResidency> extents;
+    while (!stop.load(std::memory_order_relaxed)) {
+      pool.ForgetFile(uint32_t(rng.UniformInt(0, 2)));
+      pool.ResidencyOfWithExtents(uint32_t(rng.UniformInt(0, 2)), 1800,
+                                  &extents);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  BufferPoolSnapshot prev;
+  for (int i = 0; i < 2000 || prev.stats.dirty_evictions == 0; ++i) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "writers caused no dirty eviction";
+    const BufferPoolSnapshot snap = pool.StatsSnapshot();
+    ASSERT_LE(snap.num_dirty, snap.num_cached);
+    ASSERT_LE(snap.num_cached, snap.capacity_pages);
+    ASSERT_GE(snap.stats.hits, prev.stats.hits);
+    ASSERT_GE(snap.stats.misses, prev.stats.misses);
+    ASSERT_GE(snap.stats.evictions, prev.stats.evictions);
+    ASSERT_GE(snap.stats.dirty_evictions, prev.stats.dirty_evictions);
+    ASSERT_LE(snap.stats.dirty_evictions, snap.stats.evictions);
+    prev = snap;
+  }
+  stop.store(true);
+  for (auto& th : threads) th.join();
+  const BufferPoolSnapshot snap = pool.StatsSnapshot();
+  EXPECT_EQ(snap.stats.hits + snap.stats.misses, touches.load());
+  EXPECT_EQ(snap.num_cached, pool.capacity_pages());
+  EXPECT_EQ(snap.num_dirty, pool.num_dirty());
 }
 
 TEST(TableTest, ConcurrentTombstoneReadsDuringDeletes) {
