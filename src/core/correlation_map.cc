@@ -132,8 +132,6 @@ Key CorrelationMap::DecodeClusteredOrdinal(int64_t ordinal) const {
 
 Status CorrelationMap::BuildFromTable() {
   // Algorithm 1: scan, bucket both sides, upsert co-occurrence counts.
-  // The per-row epoch bumps inside InsertRow are harmless: the counter
-  // only needs monotonicity.
   const size_t n = table_->NumRows();
   for (RowId r = 0; r < n; ++r) {
     if (table_->IsDeleted(r)) continue;
@@ -152,7 +150,6 @@ Status CorrelationMap::DeleteRow(RowId row) {
 
 void CorrelationMap::UpsertPair(const CmKey& u_key, int64_t c_ordinal,
                                 uint32_t count) {
-  ++epoch_;
   auto [mit, new_key] = map_.try_emplace(u_key);
   if (new_key) NoteKeyAdded(mit->first);
   auto [it, inserted] = mit->second.emplace(c_ordinal, count);
@@ -164,7 +161,6 @@ void CorrelationMap::UpsertPair(const CmKey& u_key, int64_t c_ordinal,
 }
 
 Status CorrelationMap::RetractPair(const CmKey& u_key, int64_t c_ordinal) {
-  ++epoch_;
   auto mit = map_.find(u_key);
   if (mit == map_.end()) return Status::NotFound("u-key not mapped");
   auto cit = mit->second.find(c_ordinal);
@@ -186,8 +182,7 @@ size_t CorrelationMap::InsertRowsBatched(std::span<const RowId> rows) {
   // Bucket every row once, then sort so equal u-keys (and within them,
   // equal clustered ordinals) are adjacent: one hash traversal per
   // distinct u-key and one count upsert per distinct pair, instead of one
-  // hash traversal per row. An empty batch must not bump the epoch (it
-  // would invalidate cached lookups for a no-op).
+  // hash traversal per row.
   if (rows.empty()) return 0;
   std::vector<std::pair<CmKey, int64_t>> pairs;
   pairs.reserve(rows.size());
@@ -200,7 +195,6 @@ size_t CorrelationMap::InsertRowsBatched(std::span<const RowId> rows) {
 size_t CorrelationMap::UpsertPairsBatched(
     std::vector<std::pair<CmKey, int64_t>> pairs) {
   if (pairs.empty()) return 0;
-  ++epoch_;
   std::sort(pairs.begin(), pairs.end(),
             [](const auto& a, const auto& b) {
               if (a.first < b.first) return true;
@@ -240,7 +234,6 @@ Status CorrelationMap::RetractPairsBatched(
   // NotFound mid-batch means the caller retracted a pair that was never
   // inserted; the map is corrupt either way, so no rollback is attempted.
   if (pairs.empty()) return Status::OK();
-  ++epoch_;
   std::sort(pairs.begin(), pairs.end(),
             [](const auto& a, const auto& b) {
               if (a.first < b.first) return true;
@@ -590,7 +583,7 @@ std::string CorrelationMap::Name() const {
 CorrelationMap CorrelationMap::CloneRetargeted(const Table* table) const {
   assert(options_.c_buckets == nullptr &&
          "positional (c-bucketed) CMs cannot survive a physical reorder");
-  CorrelationMap out(*this);  // copy ctor: map/entries/epoch, dirty directory
+  CorrelationMap out(*this);  // copy ctor: map/entries, dirty directory
   out.table_ = table;
   return out;
 }
@@ -623,7 +616,6 @@ std::vector<CorrelationMap::Record> CorrelationMap::ToRecords() const {
 }
 
 Status CorrelationMap::LoadRecords(std::span<const Record> records) {
-  ++epoch_;
   map_.clear();
   num_entries_ = 0;
   directory_full_rebuild_ = true;

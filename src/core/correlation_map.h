@@ -102,7 +102,8 @@ struct CmColumnPredicate {
 
 /// Order-sensitive 64-bit fingerprint of a compiled CM predicate vector
 /// (kind, point keys, range bounds per column). Cache layers use it --
-/// together with CM identity and epoch -- to key reusable lookup results.
+/// together with CM identity and the concurrent wrapper's maintenance
+/// epoch -- to key reusable lookup results.
 uint64_t FingerprintCmPredicates(std::span<const CmColumnPredicate> preds);
 
 /// Closed, contiguous run [lo, hi] of clustered ordinals.
@@ -156,7 +157,6 @@ class CorrelationMap {
         options_(std::move(o.options_)),
         map_(std::move(o.map_)),
         num_entries_(o.num_entries_),
-        epoch_(o.epoch_),
         directory_(std::move(o.directory_)),
         directory_full_rebuild_(o.directory_full_rebuild_),
         delta_added_(std::move(o.delta_added_)),
@@ -170,7 +170,6 @@ class CorrelationMap {
       options_ = std::move(o.options_);
       map_ = std::move(o.map_);
       num_entries_ = o.num_entries_;
-      epoch_ = o.epoch_;
       directory_ = std::move(o.directory_);
       directory_full_rebuild_ = o.directory_full_rebuild_;
       delta_added_ = std::move(o.delta_added_);
@@ -185,8 +184,7 @@ class CorrelationMap {
       : table_(o.table_),
         options_(o.options_),
         map_(o.map_),
-        num_entries_(o.num_entries_),
-        epoch_(o.epoch_) {}
+        num_entries_(o.num_entries_) {}
   CorrelationMap& operator=(const CorrelationMap& o) {
     if (this != &o) *this = CorrelationMap(o);  // copy, then move-assign
     return *this;
@@ -241,12 +239,6 @@ class CorrelationMap {
   /// re-implementing the bucketing.
   CmKey UKeyOfRow(RowId row) const;
   CmKey UKeyOfValues(std::span<const Key> u_keys) const;
-
-  /// Maintenance version counter: bumped by every maintenance entry point
-  /// (row/value inserts and deletes, batched inserts, rebuilds). Cache
-  /// layers key lookup results by (CM, predicate fingerprint, epoch) and
-  /// treat any epoch change as invalidation.
-  uint64_t Epoch() const { return epoch_; }
 
   /// cm_lookup (§5.2): clustered ordinals co-occurring with any u-key
   /// matching all column predicates (one per CM attribute, in u_cols
@@ -330,9 +322,9 @@ class CorrelationMap {
   /// table). Only valid for CMs WITHOUT clustered bucketing: their
   /// ordinals encode clustered VALUES, not positions, so the mapping
   /// survives any physical reorder of the same logical rows. The copy's
-  /// directory starts dirty (rebuilt lazily, as for any copy); epoch
-  /// carries over. This is the recluster swap's O(pairs) alternative to an
-  /// O(rows) BuildFromTable re-hash.
+  /// directory starts dirty (rebuilt lazily, as for any copy). This is the
+  /// recluster swap's O(pairs) alternative to an O(rows) BuildFromTable
+  /// re-hash.
   CorrelationMap CloneRetargeted(const Table* table) const;
 
   /// Structural check: counts are positive, num_entries consistent.
@@ -413,7 +405,6 @@ class CorrelationMap {
   CmOptions options_;
   HashMap map_;
   size_t num_entries_ = 0;
-  uint64_t epoch_ = 0;
 
   /// Incremental-merge threshold: degrade to a wholesale rebuild once the
   /// delta exceeds 1/kDirectoryDeltaMaxInverseFraction of the mapped keys

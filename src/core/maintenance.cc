@@ -144,8 +144,8 @@ ExecResult MaintenanceDriver::SelectViaBTree(const SecondaryIndex& index,
     if (!pool_->Touch(PageId{heap_file_, p})) missed.push_back(p);
     last = p;
   }
-  const uint64_t gap = uint64_t(config_.disk.seek_ms() / config_.disk.seq_page_ms());
-  out.io = CostOfRuns(ExtractRuns(std::move(missed), gap));
+  out.io =
+      CostOfRuns(ExtractRuns(std::move(missed), config_.disk.RunGapPages()));
   out.io += pool_->DrainIo();  // index-page misses + eviction write-backs
   report_.io += out.io;
   out.ms = config_.disk.CostMs(out.io);
@@ -172,8 +172,8 @@ ExecResult MaintenanceDriver::SelectViaCm(const CorrelationMap& cm,
   for (const PageNo p : pages) {
     if (!pool_->Touch(PageId{heap_file_, p})) missed.push_back(p);
   }
-  const uint64_t gap = uint64_t(config_.disk.seek_ms() / config_.disk.seq_page_ms());
-  out.io = CostOfRuns(ExtractRuns(std::move(missed), gap));
+  out.io =
+      CostOfRuns(ExtractRuns(std::move(missed), config_.disk.RunGapPages()));
   out.io += pool_->DrainIo();  // eviction write-backs
   report_.io += out.io;
   out.ms = config_.disk.CostMs(out.io);

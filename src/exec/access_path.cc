@@ -101,9 +101,7 @@ ExecResult ClusteredIndexScan(const Table& table, const ClusteredIndex& cidx,
   assert(pred != nullptr && "query must predicate the clustered column");
   const std::vector<RowRange> ranges =
       ClusteredRangesFor(table, cidx, *pred, ~RowId{0});
-  const size_t n_probes =
-      pred->op() == Predicate::Op::kRange ? 1 : pred->keys().size();
-  out.io.seeks += uint64_t(n_probes) * cidx.BTreeHeight();
+  out.io.seeks += uint64_t(ClusteredProbeCount(*pred)) * cidx.BTreeHeight();
   SweepRanges(table, query, ranges, opts, &out);
   out.ms = opts.disk.CostMs(out.io);
   return out;

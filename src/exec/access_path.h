@@ -55,8 +55,7 @@ struct ExecOptions {
   bool cm_cached = true;
   /// Merge page runs separated by at most this many pages: reading through
   /// a small hole is cheaper than seeking over it. kAutoGapTolerance
-  /// derives the break-even gap from the disk constants
-  /// (seek_ms / seq_page_ms, ~70 pages for the paper's disk).
+  /// takes the disk's break-even gap (DiskModel::RunGapPages).
   static constexpr uint64_t kAutoGapTolerance = ~uint64_t{0};
   uint64_t run_gap_tolerance = kAutoGapTolerance;
   /// Sorted/bitmap-style paths whose sweep would cost more than a full
@@ -69,7 +68,7 @@ struct ExecOptions {
 
   uint64_t EffectiveGapTolerance() const {
     if (run_gap_tolerance != kAutoGapTolerance) return run_gap_tolerance;
-    return uint64_t(disk.seek_ms() / disk.seq_page_ms());
+    return disk.RunGapPages();
   }
 };
 

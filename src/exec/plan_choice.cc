@@ -206,12 +206,10 @@ PlanSet ChooseAccessPlan(const PlanContext& ctx, const Query& query,
   if (cpred != nullptr) {
     const std::vector<RowRange> ranges = ClusteredRangesFor(
         *ctx.table, *ctx.cidx, *cpred, ctx.clustered_boundary);
-    const size_t n_probes =
-        cpred->op() == Predicate::Op::kRange ? 1 : cpred->keys().size();
-    out.candidates.push_back({PlanKind::kClusteredRange,
-                              "clustered_index_scan",
-                              ClusteredRangeCostMs(ctx, ranges, n_probes), 0,
-                              false});
+    out.candidates.push_back(
+        {PlanKind::kClusteredRange, "clustered_index_scan",
+         ClusteredRangeCostMs(ctx, ranges, ClusteredProbeCount(*cpred)), 0,
+         false});
   }
 
   for (const PlanCandidate& e : extra) out.candidates.push_back(e);

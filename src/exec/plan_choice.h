@@ -129,6 +129,12 @@ std::vector<RowRange> ClusteredRangesFor(const Table& table,
                                          const Predicate& pred,
                                          RowId clamp_end);
 
+/// Clustered-index descents `pred` costs: one per probe key (a range
+/// predicate probes once), whether or not the key finds rows.
+inline size_t ClusteredProbeCount(const Predicate& pred) {
+  return pred.op() == Predicate::Op::kRange ? 1 : pred.keys().size();
+}
+
 /// Cost of sequentially sweeping the unclustered tail [boundary, n_rows);
 /// 0 when the snapshot has no tail. Added to every non-scan candidate.
 double TailSweepCostMs(const PlanContext& ctx);

@@ -59,45 +59,41 @@ Durability::Durability(DurabilityOptions options)
   if (options_.group_commit_ops == 0) options_.group_commit_ops = 1;
 }
 
-// --- Payload codecs --------------------------------------------------------
+// --- Payload codec ---------------------------------------------------------
 
-std::string Durability::EncodeAppend(RowId first_row,
-                                     std::span<const std::vector<Key>> rows) {
+std::string Durability::EncodeWrite(RowId first_row,
+                                    std::span<const RowId> deletes,
+                                    std::span<const std::vector<Key>> appends) {
   std::string p;
-  const size_t cols = rows.empty() ? 0 : rows[0].size();
-  p.reserve(24 + rows.size() * cols * 9);
+  const size_t cols = appends.empty() ? 0 : appends[0].size();
+  p.reserve(32 + deletes.size() * 8 + appends.size() * cols * 9);
   PutU64(&p, first_row);
-  PutU64(&p, rows.size());
+  PutU64(&p, deletes.size());
+  for (const RowId r : deletes) PutU64(&p, r);
+  PutU64(&p, appends.size());
   PutU64(&p, cols);
-  for (const std::vector<Key>& row : rows) {
+  for (const std::vector<Key>& row : appends) {
     for (const Key& k : row) PutKey(&p, k);
   }
   return p;
 }
 
-std::string Durability::EncodeDeletes(std::span<const RowId> rows) {
-  std::string p;
-  p.reserve(8 + rows.size() * 8);
-  PutU64(&p, rows.size());
-  for (const RowId r : rows) PutU64(&p, r);
-  return p;
-}
-
-std::string Durability::EncodeUpdate(RowId row,
-                                     std::span<const Key> new_values) {
-  std::string p;
-  p.reserve(16 + new_values.size() * 9);
-  PutU64(&p, row);
-  PutU64(&p, new_values.size());
-  for (const Key& k : new_values) PutKey(&p, k);
-  return p;
-}
-
-bool Durability::DecodeAppend(const std::string& payload, AppendOp* out) {
+bool Durability::DecodeWrite(const std::string& payload, WriteOp* out) {
   size_t pos = 0;
-  uint64_t first = 0, n_rows = 0, n_cols = 0;
-  if (!GetU64(payload, &pos, &first) || !GetU64(payload, &pos, &n_rows) ||
-      !GetU64(payload, &pos, &n_cols)) {
+  uint64_t first = 0, n_deletes = 0;
+  if (!GetU64(payload, &pos, &first) || !GetU64(payload, &pos, &n_deletes) ||
+      !Fits(payload, pos, n_deletes, 8)) {
+    return false;
+  }
+  out->first_row = RowId(first);
+  out->deletes.assign(size_t(n_deletes), RowId{0});
+  for (RowId& r : out->deletes) {
+    uint64_t v = 0;
+    if (!GetU64(payload, &pos, &v)) return false;
+    r = RowId(v);
+  }
+  uint64_t n_rows = 0, n_cols = 0;
+  if (!GetU64(payload, &pos, &n_rows) || !GetU64(payload, &pos, &n_cols)) {
     return false;
   }
   // A row is n_cols 9-byte keys; zero-width rows are never logged.
@@ -105,9 +101,8 @@ bool Durability::DecodeAppend(const std::string& payload, AppendOp* out) {
                      !Fits(payload, pos, n_rows, 9 * n_cols))) {
     return false;
   }
-  out->first_row = RowId(first);
-  out->rows.assign(size_t(n_rows), std::vector<Key>(size_t(n_cols)));
-  for (auto& row : out->rows) {
+  out->appends.assign(size_t(n_rows), std::vector<Key>(size_t(n_cols)));
+  for (auto& row : out->appends) {
     for (Key& k : row) {
       if (!GetKey(payload, &pos, &k)) return false;
     }
@@ -115,38 +110,16 @@ bool Durability::DecodeAppend(const std::string& payload, AppendOp* out) {
   return pos == payload.size();
 }
 
-bool Durability::DecodeDeletes(const std::string& payload,
-                               std::vector<RowId>* out) {
-  size_t pos = 0;
-  uint64_t n = 0;
-  if (!GetU64(payload, &pos, &n) || !Fits(payload, pos, n, 8)) return false;
-  out->assign(size_t(n), RowId{0});
-  for (RowId& r : *out) {
-    uint64_t v = 0;
-    if (!GetU64(payload, &pos, &v)) return false;
-    r = RowId(v);
-  }
-  return pos == payload.size();
-}
-
-bool Durability::DecodeUpdate(const std::string& payload, UpdateOp* out) {
-  size_t pos = 0;
-  uint64_t row = 0, n_cols = 0;
-  if (!GetU64(payload, &pos, &row) || !GetU64(payload, &pos, &n_cols) ||
-      !Fits(payload, pos, n_cols, 9)) {
-    return false;
-  }
-  out->row = RowId(row);
-  out->new_values.assign(size_t(n_cols), Key{});
-  for (Key& k : out->new_values) {
-    if (!GetKey(payload, &pos, &k)) return false;
-  }
-  return pos == payload.size();
-}
-
 // --- Logging ---------------------------------------------------------------
 
-void Durability::CommitOpLocked(WalRecordType type, std::string payload) {
+void Durability::LogWrite(RowId first_row, std::span<const RowId> deletes,
+                          std::span<const std::vector<Key>> appends) {
+  if (deletes.empty() && appends.empty()) return;
+  WalRecordType type = WalRecordType::kRowUpdate;
+  if (appends.empty()) type = WalRecordType::kRowDelete;
+  if (deletes.empty()) type = WalRecordType::kRowAppend;
+  std::string payload = EncodeWrite(first_row, deletes, appends);
+  std::lock_guard<std::mutex> lock(mu_);
   const uint64_t txn = next_txn_++;
   wal_.Append({type, txn, std::move(payload)});
   wal_.Append({WalRecordType::kCommit, txn, ""});
@@ -155,44 +128,31 @@ void Durability::CommitOpLocked(WalRecordType type, std::string payload) {
   if (ops_since_flush_ >= options_.group_commit_ops) FlushLocked();
 }
 
+void Durability::set_metrics(obs::ServingMetrics* metrics) {
+  std::lock_guard<std::mutex> lock(mu_);
+  metrics_ = metrics;
+}
+
 void Durability::FlushLocked() {
   if (ops_since_flush_ == 0) return;
   const size_t batch = ops_since_flush_;
   wal_.Flush();
   ops_since_flush_ = 0;
-  if (options_.metrics != nullptr) {
-    options_.metrics->wal_group_commit_ops->Record(double(batch));
+  if (metrics_ != nullptr) {
+    metrics_->wal_group_commit_ops->Record(double(batch));
   }
   SyncMetricsLocked();
 }
 
 void Durability::SyncMetricsLocked() {
-  if (options_.metrics == nullptr) return;
-  obs::ServingMetrics& m = *options_.metrics;
+  if (metrics_ == nullptr) return;
+  obs::ServingMetrics& m = *metrics_;
   m.wal_flushes->Add(wal_.num_flushes() - synced_flushes_);
   m.wal_bytes->Add(wal_.bytes_durable() - synced_bytes_);
   m.wal_records->Add(ops_logged_ - synced_records_);
   synced_flushes_ = wal_.num_flushes();
   synced_bytes_ = wal_.bytes_durable();
   synced_records_ = ops_logged_;
-}
-
-void Durability::LogAppend(RowId first_row,
-                           std::span<const std::vector<Key>> rows) {
-  if (rows.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  CommitOpLocked(WalRecordType::kRowAppend, EncodeAppend(first_row, rows));
-}
-
-void Durability::LogDeletes(std::span<const RowId> rows) {
-  if (rows.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  CommitOpLocked(WalRecordType::kRowDelete, EncodeDeletes(rows));
-}
-
-void Durability::LogUpdate(RowId row, std::span<const Key> new_values) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CommitOpLocked(WalRecordType::kRowUpdate, EncodeUpdate(row, new_values));
 }
 
 void Durability::FlushNow() {
@@ -220,8 +180,8 @@ void Durability::Checkpoint(const Table& table, RowId clustered_boundary,
   // so log memory is bounded by one epoch of writes.
   wal_.TruncateThrough(id);
   ++checkpoints_;
-  if (options_.metrics != nullptr) {
-    options_.metrics->checkpoints->Increment();
+  if (metrics_ != nullptr) {
+    metrics_->checkpoints->Increment();
   }
   SyncMetricsLocked();
 }

@@ -1,17 +1,23 @@
 // Durability manager for the serving engine: a group-commit WAL of
 // serialized row operations plus an epoch-consistent checkpoint snapshot.
 //
-// Protocol. Every committed write transaction (ApplyAppend / ApplyDelete /
-// ApplyUpdate, each executed under the engine's append mutex) logs one
-// framed row-op record followed by a kCommit marker; the log is flushed
-// every `group_commit_ops` commits (group commit), so a crash loses at
-// most one un-flushed batch and a torn tail can cut a flush mid-frame --
-// the WAL's CRC re-parse drops exactly the torn suffix. At every
+// Protocol. Every committed write transaction (one ServingEngine::Commit
+// of a WriteSet, executed under the engine's append mutex) logs one framed
+// row-write record followed by a kCommit marker; the log is flushed every
+// `group_commit_ops` commits (group commit), so a crash loses at most one
+// un-flushed batch and a torn tail can cut a flush mid-frame -- the WAL's
+// CRC re-parse drops exactly the torn suffix. At every
 // recluster/compact publish the engine hands the successor table here as a
 // checkpoint: the epoch swap is a natural consistent snapshot (the
 // successor is a clean private copy until published), so the snapshot
 // clone plus a kCheckpoint record plus TruncateThrough bound the log to
 // one epoch of writes.
+//
+// One record shape. A row-write record carries the rows the transaction
+// tombstoned and the rows it appended (contiguously from `first_row`).
+// Its tag follows the shape -- kRowAppend (appends only), kRowDelete
+// (deletes only), kRowUpdate (both) -- so a log reader can count ops by
+// kind without decoding, and every tag decodes through the one codec.
 //
 // Row identity. Records address rows by physical RowId. Ids are stable
 // within an epoch -- only a recluster publish permutes them -- and every
@@ -23,9 +29,9 @@
 // they are replay-derived (rebuilt from the recovered base data), the
 // Hermit stance that correlation structures must be cheaply rebuildable.
 //
-// Threading: the engine calls Log*/Checkpoint under its append mutex, but
-// Durability also guards itself with an internal mutex so crash hooks and
-// metric reads from other threads stay race-free.
+// Threading: the engine calls LogWrite/Checkpoint under its append mutex,
+// but Durability also guards itself with an internal mutex so crash hooks
+// and metric reads from other threads stay race-free.
 #ifndef CORRMAP_SERVE_DURABILITY_H_
 #define CORRMAP_SERVE_DURABILITY_H_
 
@@ -50,9 +56,6 @@ struct DurabilityOptions {
   size_t group_commit_ops = 8;
   /// Page size the WAL charges sequential writes in.
   size_t wal_page_bytes = 8192;
-  /// Optional sink for WAL flush/byte counters and the group-commit
-  /// batch-size histogram (must outlive this object).
-  obs::ServingMetrics* metrics = nullptr;
 };
 
 /// What one ServingEngine::Recover pass did, for tests and the bench.
@@ -60,9 +63,9 @@ struct RecoveryStats {
   uint64_t checkpoint_epoch = 0;   ///< epoch the snapshot was taken at
   size_t checkpoint_rows = 0;      ///< rows in the snapshot
   size_t records_scanned = 0;      ///< committed records replayed over
-  size_t rows_appended = 0;        ///< rows re-appended from kRowAppend
-  size_t deletes_replayed = 0;
-  size_t updates_replayed = 0;
+  size_t rows_appended = 0;        ///< rows re-appended
+  size_t deletes_replayed = 0;     ///< row deletes replayed
+  size_t updates_replayed = 0;     ///< kRowUpdate records replayed
   size_t uncommitted_dropped = 0;  ///< durable data records w/o a commit
   double wall_seconds = 0;
 };
@@ -76,17 +79,18 @@ class Durability {
 
   // --- Logging (engine write path, under its append mutex) ---------------
 
-  /// Logs `rows` appended contiguously starting at `first_row` and
-  /// commits the op (flush every group_commit_ops commits).
-  void LogAppend(RowId first_row, std::span<const std::vector<Key>> rows);
+  /// Logs one committed write transaction -- the rows it tombstoned and
+  /// the rows it appended contiguously from `first_row` -- as one record
+  /// tagged by its shape (see above), and applies the group-commit policy.
+  /// An empty write logs nothing.
+  void LogWrite(RowId first_row, std::span<const RowId> deletes,
+                std::span<const std::vector<Key>> appends);
 
-  /// Logs the tombstoning of `rows` (already-filtered to newly-deleted)
-  /// as one committed op.
-  void LogDeletes(std::span<const RowId> rows);
-
-  /// Logs an update of `row` to `new_values` (tombstone + tail re-append,
-  /// mirroring ApplyUpdate) as one committed op.
-  void LogUpdate(RowId row, std::span<const Key> new_values);
+  /// The sink for WAL flush/byte/record counters, the group-commit
+  /// batch-size histogram and the checkpoint counter; null detaches. A
+  /// serving engine hands over its own ServingOptions::metrics when it
+  /// attaches this manager. The sink must outlive its attachment.
+  void set_metrics(obs::ServingMetrics* metrics);
 
   /// Flushes any buffered commits immediately.
   void FlushNow();
@@ -115,7 +119,7 @@ class Durability {
   /// the durably flushed heap image.
   void Crash(size_t torn_tail_bytes = 0);
 
-  /// The committed row-op records after the last durable checkpoint, in
+  /// The committed row-write records after the last durable checkpoint, in
   /// log order -- exactly what ServingEngine::Recover replays. Records of
   /// txns without a durable kCommit marker are excluded (a
   /// prepared-but-uncommitted txn must not be replayed); when
@@ -133,29 +137,24 @@ class Durability {
   uint64_t wal_bytes_durable() const;
   size_t wal_log_bytes() const;
 
-  // --- Payload codecs (shared by recovery and tests) ----------------------
+  // --- Payload codec (shared by recovery and tests) -----------------------
 
-  struct AppendOp {
+  /// One decoded row-write record.
+  struct WriteOp {
     RowId first_row = 0;
-    std::vector<std::vector<Key>> rows;
+    std::vector<RowId> deletes;
+    std::vector<std::vector<Key>> appends;
   };
-  struct UpdateOp {
-    RowId row = 0;
-    std::vector<Key> new_values;
-  };
-  static std::string EncodeAppend(RowId first_row,
-                                  std::span<const std::vector<Key>> rows);
-  static std::string EncodeDeletes(std::span<const RowId> rows);
-  static std::string EncodeUpdate(RowId row, std::span<const Key> new_values);
-  static bool DecodeAppend(const std::string& payload, AppendOp* out);
-  static bool DecodeDeletes(const std::string& payload,
-                            std::vector<RowId>* out);
-  static bool DecodeUpdate(const std::string& payload, UpdateOp* out);
+  /// Layout: first_row, #deletes, the deleted row ids, #appended rows,
+  /// #columns, then the appended keys row by row (all integers u64 LE).
+  static std::string EncodeWrite(RowId first_row,
+                                 std::span<const RowId> deletes,
+                                 std::span<const std::vector<Key>> appends);
+  /// False on a truncated payload, trailing bytes, or a count its bytes
+  /// cannot hold; never throws.
+  static bool DecodeWrite(const std::string& payload, WriteOp* out);
 
  private:
-  /// Appends one data record + its commit marker and applies the
-  /// group-commit policy. Caller holds mu_.
-  void CommitOpLocked(WalRecordType type, std::string payload);
   /// Flushes and records the batch-size histogram. Caller holds mu_.
   void FlushLocked();
   /// Pushes WAL counter deltas into the metrics sink. Caller holds mu_.
@@ -163,6 +162,7 @@ class Durability {
 
   DurabilityOptions options_;
   mutable std::mutex mu_;
+  obs::ServingMetrics* metrics_ = nullptr;
   WriteAheadLog wal_;
   uint64_t next_txn_ = 1;
   size_t ops_since_flush_ = 0;

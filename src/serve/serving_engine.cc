@@ -43,8 +43,11 @@ ServingEngine::ServingEngine(Table* table, const ClusteredIndex* cidx,
   // without one, a crash before the first recluster would have a log tail
   // and nothing to replay it against. An engine attached to an existing
   // checkpoint (the Recover path) keeps it.
-  if (durability_ != nullptr && !durability_->has_checkpoint()) {
-    durability_->Checkpoint(*table, state_->clustered_boundary, 0);
+  if (durability_ != nullptr) {
+    durability_->set_metrics(metrics_);
+    if (!durability_->has_checkpoint()) {
+      durability_->Checkpoint(*table, state_->clustered_boundary, 0);
+    }
   }
   if (metrics_ != nullptr && options_.shared_cache == nullptr) {
     RegisterMetricsGauges();
@@ -340,7 +343,7 @@ void ServingEngine::ResolveSidxPlans(const EpochState& st, const Query& query,
     std::vector<PageNo> pages;
     pages.reserve(plan.rids.size());
     for (const RowId r : plan.rids) pages.push_back(table.layout().PageOfRow(r));
-    plan.runs = ExtractRuns(std::move(pages), RunGap());
+    plan.runs = ExtractRuns(std::move(pages), options_.disk.RunGapPages());
     plans->push_back(std::move(plan));
   }
 }
@@ -472,7 +475,8 @@ SelectResult ServingEngine::ExecutePlan(const EpochState& st,
     for (const RowRange& range : ranges) {
       FilterRowRange(table, query, range, &counts, nullptr, &pages);
     }
-    ms += ChargeHeapRuns(st, ExtractRuns(std::move(pages), RunGap()));
+    ms += ChargeHeapRuns(
+        st, ExtractRuns(std::move(pages), options_.disk.RunGapPages()));
   };
 
   switch (win.kind) {
@@ -491,12 +495,14 @@ SelectResult ServingEngine::ExecutePlan(const EpochState& st,
       assert(cpred != nullptr && "clustered plan without clustered pred");
       const std::vector<RowRange> ranges =
           ClusteredRangesFor(table, *st.cidx, *cpred, boundary);
-      std::vector<PageNo> leaves;
-      leaves.reserve(ranges.size());
-      for (const RowRange& r : ranges) {
-        leaves.push_back(table.layout().PageOfRow(r.begin));
+      // One descent per probe key (at least one), as ClusteredRangeCostMs
+      // prices it: a key that found rows lands on its range's first page,
+      // and each descent that missed lands on page 0.
+      std::vector<PageNo> leaves(
+          std::max<size_t>(ClusteredProbeCount(*cpred), 1), 0);
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        leaves[i] = table.layout().PageOfRow(ranges[i].begin);
       }
-      if (leaves.empty()) leaves.push_back(0);  // the descent that missed
       ms += ChargeDescents(st, leaves);
       sweep_ranges(ranges);
       break;
@@ -677,20 +683,12 @@ Status ServingEngine::Commit(WriteGuard* guard, const WriteSet& w) {
   if (dead.empty() && rids.empty()) return cm_status;
 
   // Log after the mutation: under append_mu_ the log order is exactly the
-  // apply order, so replay reproduces the same row ids. Only rows this
-  // write actually tombstoned are logged, so replay deletes exactly them.
-  const bool update = !w.deletes.empty() && !w.appends.empty();
-  if (durability_ != nullptr) {
-    if (update) {
-      durability_->LogUpdate(dead.front(), w.appends.front());
-    } else if (!dead.empty()) {
-      durability_->LogDeletes(dead);
-    } else {
-      durability_->LogAppend(first, w.appends);
-    }
-  }
+  // apply order, so replay reproduces the same row ids. The record holds
+  // the rows this write actually tombstoned and every appended row, so
+  // replay deletes and appends exactly them.
+  if (durability_ != nullptr) durability_->LogWrite(first, dead, w.appends);
   if (metrics_ != nullptr) {
-    if (update) {
+    if (!dead.empty() && !rids.empty()) {
       metrics_->updates->Increment();
     } else if (!dead.empty()) {
       metrics_->deletes->Add(dead.size());
@@ -938,59 +936,37 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
     if (!s.ok()) return s;
   }
 
-  // 4. Replay the committed log tail through the ordinary write paths, so
+  // 4. Replay the committed log tail through the ordinary write path, so
   // CM maintenance, tombstones, and the delete log evolve exactly as they
   // did pre-crash. Row ids re-land deterministically: appends take
   // consecutive ids from the row count, which starts at the checkpoint's
-  // count and is advanced only by these replayed records.
+  // count and is advanced only by these replayed records. A deletes-only
+  // record replays idempotently (skip_dead), as ApplyDeletes applied it.
   for (const WalRecord& rec : d->CommittedTail(&stats.uncommitted_dropped)) {
     ++stats.records_scanned;
-    switch (rec.type) {
-      case WalRecordType::kRowAppend: {
-        Durability::AppendOp op;
-        if (!Durability::DecodeAppend(rec.payload, &op)) {
-          return Status::Corruption("undecodable kRowAppend payload");
-        }
-        if (RowId(engine->table().NumRows()) != op.first_row) {
-          return Status::Corruption(
-              "replay row ids diverged from the logged append");
-        }
-        Status s = engine->ApplyAppend(op.rows);
-        if (!s.ok()) return s;
-        stats.rows_appended += op.rows.size();
-        break;
-      }
-      case WalRecordType::kRowDelete: {
-        std::vector<RowId> rows;
-        if (!Durability::DecodeDeletes(rec.payload, &rows)) {
-          return Status::Corruption("undecodable kRowDelete payload");
-        }
-        Status s = engine->ApplyDeletes(rows);
-        if (!s.ok()) return s;
-        stats.deletes_replayed += rows.size();
-        break;
-      }
-      case WalRecordType::kRowUpdate: {
-        Durability::UpdateOp op;
-        if (!Durability::DecodeUpdate(rec.payload, &op)) {
-          return Status::Corruption("undecodable kRowUpdate payload");
-        }
-        Status s = engine->ApplyUpdate(op.row, op.new_values);
-        if (!s.ok()) return s;
-        ++stats.updates_replayed;
-        break;
-      }
-      default:
-        // kCm* maintenance records: their structures are replay-derived
-        // and were rebuilt in step 3.
-        break;
+    Durability::WriteOp op;
+    if (!Durability::DecodeWrite(rec.payload, &op)) {
+      return Status::Corruption("undecodable row-write payload");
     }
+    if (!op.appends.empty() &&
+        RowId(engine->table().NumRows()) != op.first_row) {
+      return Status::Corruption(
+          "replay row ids diverged from the logged append");
+    }
+    WriteSet w = {.deletes = op.deletes, .appends = op.appends};
+    w.skip_dead = op.appends.empty();
+    Status s = engine->Write(kAnyEpoch, w);
+    if (!s.ok()) return s;
+    stats.rows_appended += op.appends.size();
+    stats.deletes_replayed += op.deletes.size();
+    stats.updates_replayed += rec.type == WalRecordType::kRowUpdate;
   }
 
   // 5. Re-attach durability and re-arm the background triggers. No fresh
   // checkpoint is needed: replay never permuted ids, so the existing
   // snapshot plus the retained tail plus future records stays replayable.
   engine->durability_ = d;
+  d->set_metrics(engine->metrics_);
   engine->recluster_tail_rows_.store(options.recluster_tail_rows,
                                      std::memory_order_relaxed);
   engine->compact_deleted_fraction_.store(options.compact_deleted_fraction,

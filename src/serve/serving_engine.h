@@ -146,11 +146,13 @@ struct ServingOptions {
   /// unobserved engine pays nothing.
   obs::ServingMetrics* metrics = nullptr;
   /// Durability manager (serve/durability.h): when non-null every
-  /// committed write logs a row-op record through its group-commit WAL
-  /// and every recluster/compact publish checkpoints the successor table
-  /// into it; ServingEngine::Recover rebuilds an engine from its state
-  /// after a crash. Must outlive the engine. Null -- the default -- logs
-  /// nothing and pays nothing.
+  /// committed write logs one row-write record through its group-commit
+  /// WAL and every recluster/compact publish checkpoints the successor
+  /// table into it; ServingEngine::Recover rebuilds an engine from its
+  /// state after a crash. The engine hands the manager its `metrics` sink,
+  /// so the WAL and checkpoint series land where the engine's do. Must
+  /// outlive the engine. Null -- the default -- logs nothing and pays
+  /// nothing.
   Durability* durability = nullptr;
   /// Simulated-cost reporting (paper Table 1 constants by default).
   DiskModel disk;
@@ -276,8 +278,9 @@ class ServingEngine {
   SelectResult ExecuteSelect(const Query& query) const;
 
   /// What one write changes on one engine: rows to tombstone, then rows
-  /// to append (physical keys, schema arity). A delete plus a one-row
-  /// append is an update: one kRowUpdate WAL record, counted as an update.
+  /// to append (physical keys, schema arity). A committed write is one
+  /// WAL record of the rows it tombstoned and the rows it appended; one
+  /// that does both is an update (kRowUpdate, counted as an update).
   struct WriteSet {
     std::span<const RowId> deletes{};
     std::span<const std::vector<Key>> appends{};
@@ -328,9 +331,10 @@ class ServingEngine {
   /// the two a probe may over-cover, never under-cover: every access path
   /// re-filters through the tombstone bitmap); then appends the rows to
   /// the heap and only then to the CMs (a select racing it finds the new
-  /// rows through the tail sweep); then logs, so the log order is the
-  /// apply order. c-bucketed CMs never cover tail rows: appends skip
-  /// them and so do retractions of tail rows. Returns a CM's error only
+  /// rows through the tail sweep); then logs the rows it tombstoned and
+  /// appended, so the log order is the apply order. c-bucketed CMs never
+  /// cover tail rows: appends skip them and so do retractions of tail
+  /// rows. Returns a CM's error only
   /// if its pairs had drifted from the live rows (an invariant violation);
   /// the write is applied and logged regardless.
   Status Commit(WriteGuard* guard, const WriteSet& w);
@@ -656,12 +660,6 @@ class ServingEngine {
   /// records the select's trace.
   void RecordSelect(const EpochState& st, const Query& query,
                     const SelectPlan& plan, const SelectResult& out) const;
-
-  /// Page-gap tolerance of heap run extraction: reading through a hole is
-  /// cheaper than seeking over it up to seek_ms / seq_page_ms pages.
-  uint64_t RunGap() const {
-    return uint64_t(options_.disk.seek_ms() / options_.disk.seq_page_ms());
-  }
 
   ServingOptions options_;
   std::atomic<size_t> recluster_tail_rows_;

@@ -47,6 +47,11 @@ class DiskModel {
   double seek_ms() const { return seek_ms_; }
   double seq_page_ms() const { return seq_page_ms_; }
 
+  /// Break-even page gap of run extraction: reading through a hole of up
+  /// to seek_ms / seq_page_ms pages is cheaper than seeking over it (~70
+  /// pages for the paper's disk).
+  uint64_t RunGapPages() const { return uint64_t(seek_ms_ / seq_page_ms_); }
+
   /// Simulated elapsed milliseconds for the given counters. Writes cost a
   /// seek each (dirty-page write-back to a random location).
   double CostMs(const DiskStats& s) const {

@@ -16,6 +16,7 @@
 #include "core/correlation_map.h"
 #include "exec/access_path.h"
 #include "index/clustered_index.h"
+#include "serve/concurrent_cm.h"
 #include "storage/table.h"
 
 namespace corrmap {
@@ -313,24 +314,40 @@ TEST(CmRangeLookupTest, LargeDeltaFallsBackToFullRebuild) {
 }
 
 TEST(CmRangeLookupTest, EpochBumpsOnEveryMaintenanceEntryPoint) {
+  // The lookup cache keys results on the concurrent wrapper's epoch, so
+  // every maintenance entry point must move it; an empty batch must not.
   PointMappedFixture f;
-  uint64_t e = f.cm->Epoch();
-  f.cm->InsertRow(0);
-  EXPECT_GT(f.cm->Epoch(), e);
-  e = f.cm->Epoch();
-  ASSERT_TRUE(f.cm->DeleteRow(0).ok());
-  EXPECT_GT(f.cm->Epoch(), e);
-  e = f.cm->Epoch();
+  const CmOptions opts = f.cm->options();
+  auto built = serve::ConcurrentCorrelationMap::Create(f.table.get(), opts);
+  ASSERT_TRUE(built.ok());
+  serve::ConcurrentCorrelationMap& cm = *built;
+  uint64_t e = cm.Epoch();
+  ASSERT_TRUE(cm.BuildFromTable().ok());
+  EXPECT_GT(cm.Epoch(), e);
+  e = cm.Epoch();
+  cm.InsertRow(0);
+  EXPECT_GT(cm.Epoch(), e);
+  e = cm.Epoch();
+  ASSERT_TRUE(cm.DeleteRow(0).ok());
+  EXPECT_GT(cm.Epoch(), e);
+  e = cm.Epoch();
   const std::array<RowId, 2> rows = {1, 2};
-  f.cm->InsertRowsBatched(rows);
-  EXPECT_GT(f.cm->Epoch(), e);
-  e = f.cm->Epoch();
+  cm.InsertRowsBatched(rows);
+  EXPECT_GT(cm.Epoch(), e);
+  e = cm.Epoch();
+  ASSERT_TRUE(cm.DeleteRowsBatched(rows).ok());
+  EXPECT_GT(cm.Epoch(), e);
+  e = cm.Epoch();
   const std::array<Key, 1> u = {Key(int64_t{42})};
-  f.cm->InsertValues(u, 4);
-  EXPECT_GT(f.cm->Epoch(), e);
-  e = f.cm->Epoch();
-  ASSERT_TRUE(f.cm->DeleteValues(u, 4).ok());
-  EXPECT_GT(f.cm->Epoch(), e);
+  cm.InsertValues(u, 4);
+  EXPECT_GT(cm.Epoch(), e);
+  e = cm.Epoch();
+  ASSERT_TRUE(cm.DeleteValues(u, 4).ok());
+  EXPECT_GT(cm.Epoch(), e);
+  e = cm.Epoch();
+  cm.InsertRowsBatched({});
+  ASSERT_TRUE(cm.DeleteRowsBatched({}).ok());
+  EXPECT_EQ(cm.Epoch(), e);
 }
 
 TEST(CmRangeLookupTest, SharedCacheComputesOnce) {

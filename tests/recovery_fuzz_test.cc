@@ -164,7 +164,6 @@ struct RecoveryFuzzHarness {
 
     DurabilityOptions dopts;
     dopts.group_commit_ops = group_commit_ops;
-    dopts.metrics = &metrics;
     durability = std::make_unique<Durability>(dopts);
 
     opts.num_workers = 1;

@@ -446,6 +446,42 @@ TEST(ServingEngineTest, CBucketedCmArmChargesWhatThePlannerPrices) {
   EXPECT_NEAR(served.simulated_ms, offline.ms + probe, 1e-9);
 }
 
+TEST(ServingEngineTest, ClusteredArmChargesOneDescentPerProbe) {
+  // ClusteredRangeCostMs and the offline ClusteredIndexScan charge one
+  // clustered-index descent per IN key; so must the engine's arm, also for
+  // a key with no rows (its descent lands on page 0). With the pool off and
+  // no tail the served cost must equal the offline scan's.
+  Schema schema({ColumnDef::Int64("c"), ColumnDef::Int64("u")});
+  Table table("t", std::move(schema));
+  Rng rng(97);
+  for (int i = 0; i < 20000; ++i) {
+    const int64_t u = rng.UniformInt(0, 999);
+    std::array<Value, 2> row = {Value(2 * (u / 10)), Value(u)};  // c even
+    ASSERT_TRUE(table.AppendRow(row).ok());
+  }
+  ASSERT_TRUE(table.ClusterBy(0).ok());
+  auto cidx = ClusteredIndex::Build(table, 0);
+  ASSERT_TRUE(cidx.ok());
+  ServingOptions opts;
+  opts.num_workers = 0;
+  opts.buffer_pool_pages = 0;
+  opts.disk = ScanAverseDisk();
+  ServingEngine engine(&table, &*cidx, opts);
+
+  // 11 is odd, so its probe finds nothing.
+  const Query q(
+      {Predicate::In(table, "c", {Value(10), Value(11), Value(40)})});
+  const serve::SelectResult served = engine.ExecuteSelect(q);
+  ASSERT_EQ(served.plan_kind, PlanKind::kClusteredRange);
+  ASSERT_EQ(served.tail_rows_swept, 0u);
+  ExecOptions eo;
+  eo.disk = opts.disk;
+  const ExecResult offline = ClusteredIndexScan(table, *cidx, q, eo);
+  EXPECT_GT(served.num_matches, 0u);
+  EXPECT_EQ(served.num_matches, offline.NumMatches());
+  EXPECT_NEAR(served.simulated_ms, offline.ms, 1e-9);
+}
+
 TEST(ServingEngineTest, AttachRejectsStaleClusteredBucketing) {
   // A bucketing that does not cover exactly the clustered region (here:
   // built over a table that already grew an unclustered tail, so its

@@ -1,12 +1,15 @@
 // Dedicated WAL tests: frame round-trips, CRC rejection, torn-tail
 // crashes, checkpoint truncation, committed-txn filtering, and the
 // tail-page-carry I/O accounting -- plus the serve-layer Durability
-// manager built on top (group commit, checkpoint snapshots, payload
-// codecs). Suite names deliberately avoid storage_test.cc's WalTest so
-// ctest registrations stay unique.
+// manager built on top (group commit, checkpoint snapshots, the one
+// row-write payload codec). Suite names deliberately avoid
+// storage_test.cc's WalTest so ctest registrations stay unique.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -206,86 +209,126 @@ void FillOneColumn(Table* t, int rows) {
   }
 }
 
+/// One row-write record a codec test encodes.
+struct WriteCase {
+  const char* name;
+  RowId first;
+  std::vector<RowId> deletes;
+  std::vector<std::vector<Key>> rows;
+};
+
 TEST(DurabilityTest, PayloadCodecsRoundTrip) {
   using serve::Durability;
   const std::vector<std::vector<Key>> rows = {
       {Key(int64_t{1}), Key(2.5)},
       {Key(int64_t{-9}), Key(-0.0)},
+      {Key(int64_t{4}), Key(std::numeric_limits<double>::quiet_NaN())},
   };
-  Durability::AppendOp append;
-  ASSERT_TRUE(Durability::DecodeAppend(
-      Durability::EncodeAppend(41, rows), &append));
-  EXPECT_EQ(append.first_row, 41u);
-  ASSERT_EQ(append.rows.size(), 2u);
-  EXPECT_EQ(append.rows[0][0], Key(int64_t{1}));
-  EXPECT_EQ(append.rows[0][1], Key(2.5));
-  EXPECT_EQ(append.rows[1][0], Key(int64_t{-9}));
-  EXPECT_TRUE(append.rows[1][1].is_double());
-
-  const std::vector<RowId> dels = {3, 1, 4, 1};
-  std::vector<RowId> decoded_dels;
-  ASSERT_TRUE(Durability::DecodeDeletes(Durability::EncodeDeletes(dels),
-                                        &decoded_dels));
-  EXPECT_EQ(decoded_dels, dels);
-
-  const std::vector<Key> upd = {Key(int64_t{5}), Key(1.25)};
-  Durability::UpdateOp update;
-  ASSERT_TRUE(Durability::DecodeUpdate(
-      Durability::EncodeUpdate(7, upd), &update));
-  EXPECT_EQ(update.row, 7u);
-  EXPECT_EQ(update.new_values, upd);
-
-  // Truncated payloads must fail cleanly, never over-read.
-  std::string p = Durability::EncodeUpdate(7, upd);
-  p.pop_back();
-  EXPECT_FALSE(Durability::DecodeUpdate(p, &update));
+  const std::vector<WriteCase> cases = {
+      {"empty", 0, {}, {}},
+      {"appends only", 41, {}, rows},
+      {"deletes only", 0, {3, 1, 4, 1}, {}},
+      {"update", 12, {7}, {{Key(int64_t{5}), Key(1.25)}}},
+      {"several deletes plus appends", 90, {5, 6, 88}, rows},
+  };
+  for (const WriteCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string p = Durability::EncodeWrite(c.first, c.deletes, c.rows);
+    Durability::WriteOp op;
+    ASSERT_TRUE(Durability::DecodeWrite(p, &op));
+    EXPECT_EQ(op.first_row, c.first);
+    EXPECT_EQ(op.deletes, c.deletes);
+    ASSERT_EQ(op.appends.size(), c.rows.size());
+    for (size_t r = 0; r < c.rows.size(); ++r) {
+      ASSERT_EQ(op.appends[r].size(), c.rows[r].size());
+      for (size_t k = 0; k < c.rows[r].size(); ++k) {
+        // Doubles round-trip bit for bit: NaN stays NaN, -0.0 keeps its
+        // sign (Key equality would hide both).
+        const Key& want = c.rows[r][k];
+        const Key& got = op.appends[r][k];
+        ASSERT_EQ(got.is_double(), want.is_double());
+        if (want.is_double()) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got.AsDouble()),
+                    std::bit_cast<uint64_t>(want.AsDouble()));
+        } else {
+          EXPECT_EQ(got, want);
+        }
+      }
+    }
+    // Truncated payloads and trailing bytes must fail cleanly, never
+    // over-read.
+    for (size_t cut = 0; cut < p.size(); ++cut) {
+      EXPECT_FALSE(Durability::DecodeWrite(p.substr(0, cut), &op)) << cut;
+    }
+    EXPECT_FALSE(Durability::DecodeWrite(p + '\0', &op));
+  }
 }
 
-// Little-endian u64 as the payload codecs write it.
-void PutRawU64(std::string* out, uint64_t v) {
-  for (size_t i = 0; i < 8; ++i) out->push_back(char(uint8_t(v >> (8 * i))));
+// Little-endian u64s as the payload codec writes them.
+std::string RawU64s(std::initializer_list<uint64_t> vs) {
+  std::string out;
+  for (const uint64_t v : vs) {
+    for (size_t i = 0; i < 8; ++i) out.push_back(char(uint8_t(v >> (8 * i))));
+  }
+  return out;
 }
 
 TEST(DurabilityTest, ImpossibleCountsFailTheDecodeInsteadOfThrowing) {
   using serve::Durability;
   // Each payload claims more elements than its bytes can hold; the
-  // decoders must refuse it before sizing a vector by the claim (an
+  // decoder must refuse it before sizing a vector by the claim (an
   // unchecked count threw bad_alloc / length_error out of Recover).
-  // append: first_row, n_rows, n_cols.
-  std::string append;
-  PutRawU64(&append, 0);
-  PutRawU64(&append, uint64_t{1} << 40);
-  PutRawU64(&append, 1);
-  Durability::AppendOp op;
-  EXPECT_FALSE(Durability::DecodeAppend(append, &op));
-  // One absurdly wide row.
-  std::string wide;
-  PutRawU64(&wide, 0);
-  PutRawU64(&wide, 1);
-  PutRawU64(&wide, uint64_t{1} << 62);
-  EXPECT_FALSE(Durability::DecodeAppend(wide, &op));
-  // Rows without columns would take no bytes at all.
-  std::string zero_width;
-  PutRawU64(&zero_width, 0);
-  PutRawU64(&zero_width, uint64_t{1} << 40);
-  PutRawU64(&zero_width, 0);
-  EXPECT_FALSE(Durability::DecodeAppend(zero_width, &op));
+  // Layout: first_row, #deletes, deletes..., #rows, #cols, keys...
+  const struct {
+    const char* name;
+    std::string payload;
+  } cases[] = {
+      {"deletes count", RawU64s({0, uint64_t{1} << 61})},
+      {"deletes count past the bytes", RawU64s({0, 3, 1, 2})},
+      {"row count", RawU64s({0, 0, uint64_t{1} << 40, 1})},
+      {"one absurdly wide row", RawU64s({0, 0, 1, uint64_t{1} << 62})},
+      // Rows without columns would take no bytes at all.
+      {"zero-width rows", RawU64s({0, 0, uint64_t{1} << 40, 0})},
+      {"zero-width rows after deletes", RawU64s({0, 1, 9, 1, 0})},
+      {"row count after deletes", RawU64s({0, 2, 4, 5, uint64_t{1} << 40, 2})},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Durability::WriteOp op;
+    EXPECT_FALSE(Durability::DecodeWrite(c.payload, &op));
+  }
 
-  std::string deletes;
-  PutRawU64(&deletes, uint64_t{1} << 61);
-  std::vector<RowId> rows;
-  EXPECT_FALSE(Durability::DecodeDeletes(deletes, &rows));
+  // Empty sections stay decodable.
+  Durability::WriteOp op;
+  EXPECT_TRUE(Durability::DecodeWrite(RawU64s({0, 0, 0, 0}), &op));
+  EXPECT_TRUE(op.deletes.empty());
+  EXPECT_TRUE(op.appends.empty());
+}
 
-  // update: row, n_cols.
-  std::string update;
-  PutRawU64(&update, 7);
-  PutRawU64(&update, uint64_t{1} << 61);
-  Durability::UpdateOp upd;
-  EXPECT_FALSE(Durability::DecodeUpdate(update, &upd));
-
-  // Empty batches stay decodable.
-  EXPECT_TRUE(Durability::DecodeDeletes(Durability::EncodeDeletes({}), &rows));
-  EXPECT_TRUE(rows.empty());
+TEST(DurabilityTest, LogWriteTagsEachRecordByItsShape) {
+  serve::DurabilityOptions opts;
+  opts.group_commit_ops = 1;
+  serve::Durability d(opts);
+  Table t("t", Schema({ColumnDef::Int64("v")}));
+  FillOneColumn(&t, 8);
+  d.Checkpoint(t, RowId(t.NumRows()), 0);
+  const std::vector<std::vector<Key>> one = {{Key(int64_t{1})}};
+  const std::vector<RowId> dels = {2, 3};
+  d.LogWrite(8, {}, {});  // an empty write logs nothing
+  d.LogWrite(8, {}, one);
+  d.LogWrite(9, dels, {});
+  d.LogWrite(9, dels, one);
+  EXPECT_EQ(d.ops_logged(), 3u);
+  const std::vector<WalRecord> tail = d.CommittedTail();
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[0].type, WalRecordType::kRowAppend);
+  EXPECT_EQ(tail[1].type, WalRecordType::kRowDelete);
+  EXPECT_EQ(tail[2].type, WalRecordType::kRowUpdate);
+  serve::Durability::WriteOp op;
+  ASSERT_TRUE(serve::Durability::DecodeWrite(tail[2].payload, &op));
+  EXPECT_EQ(op.first_row, 9u);
+  EXPECT_EQ(op.deletes, dels);
+  EXPECT_EQ(op.appends, one);
 }
 
 TEST(DurabilityTest, GroupCommitFlushesEveryNthOp) {
@@ -293,11 +336,11 @@ TEST(DurabilityTest, GroupCommitFlushesEveryNthOp) {
   opts.group_commit_ops = 4;
   serve::Durability d(opts);
   const std::vector<std::vector<Key>> one = {{Key(int64_t{1})}};
-  for (int i = 0; i < 3; ++i) d.LogAppend(RowId(i), one);
+  for (int i = 0; i < 3; ++i) d.LogWrite(RowId(i), {}, one);
   EXPECT_EQ(d.wal_flushes(), 0u);  // batch still open
-  d.LogAppend(3, one);
+  d.LogWrite(3, {}, one);
   EXPECT_EQ(d.wal_flushes(), 1u);  // 4th commit flushed the batch
-  d.LogAppend(4, one);
+  d.LogWrite(4, {}, one);
   d.FlushNow();
   EXPECT_EQ(d.wal_flushes(), 2u);
   EXPECT_EQ(d.ops_logged(), 5u);
@@ -311,8 +354,8 @@ TEST(DurabilityTest, CrashLosesOnlyTheOpenBatch) {
   FillOneColumn(&t, 8);
   d.Checkpoint(t, RowId(t.NumRows()), 0);
   const std::vector<std::vector<Key>> one = {{Key(int64_t{1})}};
-  for (int i = 0; i < 4; ++i) d.LogAppend(RowId(8 + i), one);  // flushed
-  for (int i = 0; i < 2; ++i) d.LogAppend(RowId(12 + i), one);  // buffered
+  for (int i = 0; i < 4; ++i) d.LogWrite(RowId(8 + i), {}, one);  // flushed
+  for (int i = 0; i < 2; ++i) d.LogWrite(RowId(12 + i), {}, one);  // buffered
   d.Crash();
   const std::vector<WalRecord> tail = d.CommittedTail();
   ASSERT_EQ(tail.size(), 4u);
@@ -329,7 +372,7 @@ TEST(DurabilityTest, TornCommitMarkerDropsItsOpFromTheTail) {
   FillOneColumn(&t, 8);
   d.Checkpoint(t, RowId(t.NumRows()), 0);
   const std::vector<std::vector<Key>> one = {{Key(int64_t{1})}};
-  for (int i = 0; i < 3; ++i) d.LogAppend(RowId(8 + i), one);
+  for (int i = 0; i < 3; ++i) d.LogWrite(RowId(8 + i), {}, one);
   // Tear into the last flush's commit marker (an empty-payload frame):
   // the op's data record stays durable but its txn no longer commits.
   d.Crash(kWalRecordHeaderBytes / 2);
@@ -337,8 +380,8 @@ TEST(DurabilityTest, TornCommitMarkerDropsItsOpFromTheTail) {
   const std::vector<WalRecord> tail = d.CommittedTail(&dropped);
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(dropped, 1u);
-  serve::Durability::AppendOp op;
-  ASSERT_TRUE(serve::Durability::DecodeAppend(tail[1].payload, &op));
+  serve::Durability::WriteOp op;
+  ASSERT_TRUE(serve::Durability::DecodeWrite(tail[1].payload, &op));
   EXPECT_EQ(op.first_row, 9u);
 }
 
@@ -350,7 +393,7 @@ TEST(DurabilityTest, CheckpointSnapshotsAndTruncates) {
   Table t("t", Schema({ColumnDef::Int64("v")}));
   FillOneColumn(&t, 16);
   const std::vector<std::vector<Key>> one = {{Key(int64_t{99})}};
-  for (int i = 0; i < 10; ++i) d.LogAppend(RowId(16 + i), one);
+  for (int i = 0; i < 10; ++i) d.LogWrite(RowId(16 + i), {}, one);
   const size_t log_before = d.wal_log_bytes();
 
   d.Checkpoint(t, RowId(16), 3);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/access_path.h"
 #include "index/clustered_index.h"
 #include "obs/serving_metrics.h"
 #include "serve/concurrent_cm.h"
@@ -248,6 +249,115 @@ TEST(WriteTxnTest, RefusedDeleteBatchLeavesWalRecoveryAndCompactionExact) {
   EXPECT_EQ(f.engine->table().NumRows(), before.rows - batch.size());
   EXPECT_EQ(f.engine->cm(0).NumEntries(), FreshCmEntries(*f.engine));
   EXPECT_TRUE(f.engine->CheckInvariants().ok());
+}
+
+/// One Prepare + Commit of `w` at any epoch.
+Status Transact(ServingEngine& e, const ServingEngine::WriteSet& w) {
+  ServingEngine::WriteGuard guard;
+  Status s = e.Prepare(ServingEngine::kAnyEpoch, w, &guard);
+  if (!s.ok()) return s;
+  return e.Commit(&guard, w);
+}
+
+/// Crashes `f`'s WAL (nothing torn: every write is flushed at commit),
+/// recovers an engine from it, and checks the recovered engine against
+/// the live one row for row, and probe against scan query for query.
+void ExpectCrashRecoversTheLiveEngine(DurableEngine& f) {
+  f.durability.Crash();
+  ServingEngine::RecoverSpec spec;
+  spec.cms.push_back({UCm(), 0});
+  ServingOptions ro = f.opts;
+  ro.metrics = nullptr;  // the live engine owns the gauge names
+  auto rec = ServingEngine::Recover(0, ro, spec);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  const Table& want = f.engine->table();
+  const Table& got = (*rec)->table();
+  ASSERT_EQ(got.NumRows(), want.NumRows());
+  EXPECT_EQ(got.NumLiveRows(), want.NumLiveRows());
+  for (RowId r = 0; r < want.NumRows(); ++r) {
+    ASSERT_EQ(got.IsDeleted(r), want.IsDeleted(r)) << "row " << r;
+    for (size_t c = 0; c < 2; ++c) {
+      ASSERT_EQ(got.GetKey(r, c), want.GetKey(r, c)) << "row " << r;
+    }
+  }
+  EXPECT_EQ((*rec)->cm(0).NumEntries(), f.engine->cm(0).NumEntries());
+  const std::vector<Query> queries = {
+      Query({Predicate::Eq(got, "u", Value(70))}),
+      Query({Predicate::Between(got, "u", Value(40), Value(90))}),
+      Query({Predicate::Eq(got, "c", Value(7))}),
+  };
+  for (const Query& q : queries) {
+    const uint64_t probe = (*rec)->ExecuteSelect(q).num_matches;
+    EXPECT_EQ(probe, FullTableScan(got, q).NumMatches());
+    EXPECT_EQ(probe, f.engine->ExecuteSelect(q).num_matches);
+  }
+  EXPECT_TRUE((*rec)->CheckInvariants().ok());
+}
+
+TEST(WriteTxnTest, DeletesPlusAppendsLogEveryRow) {
+  // Regression: a write that deleted two rows and appended one logged
+  // only its first delete (as an update), so a crash brought the second
+  // row back.
+  DurableEngine f;
+  const size_t live = f.engine->table().NumLiveRows();
+  const std::vector<RowId> dels = {5, 6};
+  const std::vector<std::vector<Key>> row = {
+      {Key(int64_t{7}), Key(int64_t{70})}};
+  const ServingEngine::WriteSet w = {.deletes = dels, .appends = row};
+  ASSERT_TRUE(Transact(*f.engine, w).ok());
+  EXPECT_EQ(f.engine->table().NumLiveRows(), live - 1);
+  ExpectCrashRecoversTheLiveEngine(f);
+}
+
+TEST(WriteTxnTest, SkipDeadWriteOfOnlyDeadRowsLogsItsAppends) {
+  // Regression: a skip_dead write whose delete was already dead but which
+  // appended a row was logged as an update of the first row it tombstoned
+  // -- the front of an empty list.
+  DurableEngine f;
+  ASSERT_TRUE(f.engine->ApplyDelete(5).ok());
+  const size_t live = f.engine->table().NumLiveRows();
+  const std::vector<RowId> dels = {5};
+  const std::vector<std::vector<Key>> row = {
+      {Key(int64_t{7}), Key(int64_t{70})}};
+  ServingEngine::WriteSet w = {.deletes = dels, .appends = row};
+  w.skip_dead = true;
+  ASSERT_TRUE(Transact(*f.engine, w).ok());
+  EXPECT_EQ(f.engine->table().NumLiveRows(), live + 1);
+  ExpectCrashRecoversTheLiveEngine(f);
+}
+
+TEST(WriteTxnTest, WalSeriesFollowTheEngineSink) {
+  // The manager has no sink of its own: the engine hands it its metrics,
+  // at construction and again when Recover re-attaches it.
+  const std::unique_ptr<Table> table = MakeTable(2000, 0x3A3);
+  auto ci = ClusteredIndex::Build(*table, 0);
+  ASSERT_TRUE(ci.ok());
+  obs::ServingMetrics metrics;
+  Durability durability;
+  ServingOptions opts;
+  opts.num_workers = 0;
+  opts.durability = &durability;
+  opts.metrics = &metrics;
+  auto engine = std::make_unique<ServingEngine>(table.get(), &*ci, opts);
+  const std::vector<std::vector<Key>> one = {
+      {Key(int64_t{7}), Key(int64_t{70})}};
+  for (int i = 0; i < 16; ++i) ASSERT_TRUE(engine->ApplyAppend(one).ok());
+  EXPECT_GT(metrics.wal_flushes->Value(), 0u);
+  EXPECT_EQ(metrics.wal_flushes->Value(), durability.wal_flushes());
+  EXPECT_GT(metrics.wal_records->Value(), 0u);
+  EXPECT_EQ(metrics.wal_records->Value(), durability.ops_logged());
+  EXPECT_GT(metrics.wal_bytes->Value(), 0u);
+  EXPECT_GT(metrics.checkpoints->Value(), 0u);
+
+  durability.Crash();
+  engine.reset();
+  obs::ServingMetrics recovered_metrics;
+  opts.metrics = &recovered_metrics;
+  auto rec = ServingEngine::Recover(0, opts, {});
+  ASSERT_TRUE(rec.ok());
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE((*rec)->ApplyAppend(one).ok());
+  EXPECT_GT(recovered_metrics.wal_flushes->Value(), 0u);
+  EXPECT_GT(recovered_metrics.wal_records->Value(), 0u);
 }
 
 /// Four-shard durable router over the correlated table, each shard with

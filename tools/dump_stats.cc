@@ -8,9 +8,10 @@
 // The workload is a miniature of bench_serve_mixed's mixed run: an ebay
 // items table with two identity CMs, N selects sampled from a mixed
 // CM-point / clustered-range pool, a streamed append batch, a handful of
-// deletes, one recluster and one compaction -- enough traffic that every
-// subsystem's series (pool, cache, plan choice, drift, recluster, worker
-// queue) is populated. Default output is the JSON snapshot
+// deletes, one recluster and one compaction, all logged through a
+// group-commit WAL -- enough traffic that every subsystem's series (pool,
+// cache, plan choice, drift, recluster, worker queue, WAL and checkpoints)
+// is populated. Default output is the JSON snapshot
 // (ServingMetrics::ToJson); --prometheus switches to the text exposition
 // format of the registry alone.
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "common/rng.h"
 #include "index/clustered_index.h"
 #include "obs/serving_metrics.h"
+#include "serve/durability.h"
 #include "serve/serving_engine.h"
 #include "workload/ebay_gen.h"
 
@@ -60,12 +62,14 @@ int main(int argc, char** argv) {
   }
 
   obs::ServingMetrics metrics;
+  Durability durability;  // WAL + checkpoint series via the engine's sink
   ServingOptions so;
   so.num_workers = 2;
   so.reserve_rows = t->NumRows() + 8192;
   so.buffer_pool_pages = 256;
   so.calibration_period = 32;
   so.metrics = &metrics;
+  so.durability = &durability;
   ServingEngine engine(t.get(), &*cidx, so);
   for (size_t col : {kEbay.cat4, kEbay.cat5}) {
     CmOptions cm;
