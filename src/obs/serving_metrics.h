@@ -79,10 +79,10 @@ class ServingMetrics {
   Histogram* select_latency_us;  ///< driver-observed wall latency
   Histogram* queue_wait_us;      ///< worker-pool queue wait
   // Engine write path.
-  Counter* appends;
-  Counter* rows_appended;
-  Counter* deletes;
-  Counter* updates;
+  Counter* appends;        ///< writes that only append
+  Counter* rows_appended;  ///< every appended row, updates' included
+  Counter* deletes;        ///< every tombstoned row, updates' included
+  Counter* updates;        ///< writes that both delete and append
   Counter* write_conflicts;  ///< epoch-moved aborts (retry after re-resolve)
   // Recluster / compaction lifecycle.
   Counter* reclusters;

@@ -140,6 +140,12 @@ uint64_t ConcurrentCorrelationMap::SizeBytes() const {
   return cm_.SizeBytes();
 }
 
+std::vector<CorrelationMap::Record> ConcurrentCorrelationMap::ToRecords()
+    const {
+  const auto lock = ReadLock();
+  return cm_.ToRecords();
+}
+
 ConcurrentCorrelationMap ConcurrentCorrelationMap::CloneRetargeted(
     const Table* table) const {
   const auto lock = ReadLock();

@@ -104,6 +104,8 @@ class ConcurrentCorrelationMap {
   size_t NumUKeys() const;
   size_t NumEntries() const;
   uint64_t SizeBytes() const;
+  /// Every (u-key, c ordinal, count) pair (CorrelationMap::ToRecords).
+  std::vector<CorrelationMap::Record> ToRecords() const;
 
   /// Snapshot copy re-pointed at `table` (a reordered clone of this CM's
   /// table) under the shared lock; epoch carries over. Only valid without

@@ -1,6 +1,5 @@
 #include "serve/durability.h"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -214,21 +213,9 @@ void Durability::Crash(size_t torn_tail_bytes) {
   ops_since_flush_ = 0;
 }
 
-std::vector<WalRecord> Durability::CommittedTail(
-    size_t* uncommitted_dropped) const {
+std::vector<WalRecord> Durability::CommittedTail() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<WalRecord> committed = wal_.CommittedRecords();
-  if (uncommitted_dropped != nullptr) {
-    auto is_row_op = [](const WalRecord& r) {
-      return r.type == WalRecordType::kRowAppend ||
-             r.type == WalRecordType::kRowDelete ||
-             r.type == WalRecordType::kRowUpdate;
-    };
-    const auto& log = wal_.durable_records();
-    *uncommitted_dropped =
-        size_t(std::count_if(log.begin(), log.end(), is_row_op) -
-               std::count_if(committed.begin(), committed.end(), is_row_op));
-  }
   // Replay starts after the LAST durable checkpoint marker (normally the
   // log head, since Checkpoint truncates through itself).
   size_t start = 0;

@@ -60,13 +60,8 @@ struct DurabilityOptions {
 
 /// What one ServingEngine::Recover pass did, for tests and the bench.
 struct RecoveryStats {
-  uint64_t checkpoint_epoch = 0;   ///< epoch the snapshot was taken at
-  size_t checkpoint_rows = 0;      ///< rows in the snapshot
-  size_t records_scanned = 0;      ///< committed records replayed over
-  size_t rows_appended = 0;        ///< rows re-appended
-  size_t deletes_replayed = 0;     ///< row deletes replayed
-  size_t updates_replayed = 0;     ///< kRowUpdate records replayed
-  size_t uncommitted_dropped = 0;  ///< durable data records w/o a commit
+  uint64_t checkpoint_epoch = 0;  ///< epoch the snapshot was taken at
+  size_t records_scanned = 0;     ///< committed records replayed over
   double wall_seconds = 0;
 };
 
@@ -122,12 +117,8 @@ class Durability {
   /// The committed row-write records after the last durable checkpoint, in
   /// log order -- exactly what ServingEngine::Recover replays. Records of
   /// txns without a durable kCommit marker are excluded (a
-  /// prepared-but-uncommitted txn must not be replayed); when
-  /// `uncommitted_dropped` is non-null it gets how many durable row-op
-  /// records that filter dropped (RecoveryStats), from the same single
-  /// commit resolution.
-  std::vector<WalRecord> CommittedTail(
-      size_t* uncommitted_dropped = nullptr) const;
+  /// prepared-but-uncommitted txn must not be replayed).
+  std::vector<WalRecord> CommittedTail() const;
 
   // --- Introspection ------------------------------------------------------
 

@@ -150,6 +150,15 @@ Status ServingEngine::AttachCm(CmOptions cm_options) {
 }
 
 Status ServingEngine::AttachSecondaryIndex(std::vector<size_t> columns) {
+  auto idx = BuildSecondaryIndex(columns);
+  if (!idx.ok()) return idx.status();
+  InstallSecondaryIndex(std::move(columns), std::move(*idx),
+                        RegisterPoolFile());
+  return Status::OK();
+}
+
+Result<std::unique_ptr<SecondaryIndex>> ServingEngine::BuildSecondaryIndex(
+    const std::vector<size_t>& columns) const {
   auto st = CurrentState();
   if (columns.empty() || columns.size() > kMaxCmAttributes) {
     return Status::InvalidArgument("secondary index over 1..4 columns");
@@ -165,10 +174,20 @@ Status ServingEngine::AttachSecondaryIndex(std::vector<size_t> columns) {
   // per-epoch tree.
   Status s = idx->BuildFromTable(size_t(st->clustered_boundary));
   if (!s.ok()) return s;
+  return idx;
+}
+
+void ServingEngine::InstallSecondaryIndex(std::vector<size_t> columns,
+                                          std::unique_ptr<SecondaryIndex> idx,
+                                          uint32_t file) {
+  auto st = CurrentState();
   sidx_columns_.push_back(std::move(columns));
   st->sidx.push_back(std::move(idx));
-  st->sidx_files.push_back(pool_ != nullptr ? pool_->RegisterFile() : 0);
-  return Status::OK();
+  st->sidx_files.push_back(file);
+}
+
+uint32_t ServingEngine::RegisterPoolFile() const {
+  return pool_ != nullptr ? pool_->RegisterFile() : 0;
 }
 
 ServingEngine::EpochState::~EpochState() {
@@ -688,13 +707,12 @@ Status ServingEngine::Commit(WriteGuard* guard, const WriteSet& w) {
   // replay deletes and appends exactly them.
   if (durability_ != nullptr) durability_->LogWrite(first, dead, w.appends);
   if (metrics_ != nullptr) {
-    if (!dead.empty() && !rids.empty()) {
-      metrics_->updates->Increment();
-    } else if (!dead.empty()) {
-      metrics_->deletes->Add(dead.size());
-    } else {
-      metrics_->appends->Increment();
+    // The row counters see every row, whatever the write's shape; a write
+    // that both deletes and appends counts as one update, not an append.
+    if (!dead.empty()) metrics_->deletes->Add(dead.size());
+    if (!rids.empty()) {
       metrics_->rows_appended->Add(rids.size());
+      (dead.empty() ? metrics_->appends : metrics_->updates)->Increment();
     }
   }
   MaybeScheduleRecluster(*st);
@@ -854,6 +872,13 @@ const ClusteredIndex& ServingEngine::cidx() const {
   return *CurrentState()->cidx;
 }
 
+std::vector<uint32_t> ServingEngine::PoolFiles() const {
+  const std::shared_ptr<EpochState> st = CurrentState();
+  std::vector<uint32_t> files = {st->heap_file, st->cidx_file};
+  files.insert(files.end(), st->sidx_files.begin(), st->sidx_files.end());
+  return files;
+}
+
 const ConcurrentCorrelationMap& ServingEngine::cm(size_t i) const {
   return *CurrentState()->cms[i];
 }
@@ -881,6 +906,19 @@ Status ServingEngine::CheckInvariants() const {
 Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
     size_t c_col, const ServingOptions& options, const RecoverSpec& spec,
     RecoveryStats* stats_out) {
+  RecoveryStats stats;
+  std::vector<uint32_t> sidx_files;
+  auto engine = OpenCheckpoint(c_col, options, spec, &sidx_files, &stats);
+  if (!engine.ok()) return engine.status();
+  Status s = (*engine)->ReplayTail(options, spec, sidx_files, &stats);
+  if (!s.ok()) return s;
+  if (stats_out != nullptr) *stats_out = stats;
+  return engine;
+}
+
+Result<std::unique_ptr<ServingEngine>> ServingEngine::OpenCheckpoint(
+    size_t c_col, const ServingOptions& options, const RecoverSpec& spec,
+    std::vector<uint32_t>* sidx_files, RecoveryStats* stats) {
   const auto t_start = std::chrono::steady_clock::now();
   Durability* d = options.durability;
   if (d == nullptr || !d->has_checkpoint()) {
@@ -888,20 +926,18 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
         "recovery requires a durability manager holding a checkpoint "
         "(a durable engine writes one at construction)");
   }
-  RecoveryStats stats;
-  stats.checkpoint_epoch = d->checkpoint_epoch();
+  stats->checkpoint_epoch = d->checkpoint_epoch();
 
   // 1. The durable base: a private clone of the checkpoint snapshot,
   // which was taken at an epoch publish and is therefore fully clustered
   // with a fresh clustered index buildable over it.
   std::unique_ptr<Table> table = d->checkpoint_table()->Clone();
-  stats.checkpoint_rows = table->NumRows();
   auto built_cidx = ClusteredIndex::Build(*table, c_col);
   if (!built_cidx.ok()) return built_cidx.status();
   auto cidx = std::make_unique<ClusteredIndex>(std::move(*built_cidx));
 
   // 2. An engine over the snapshot. Durability stays detached and the
-  // background triggers disarmed until the replay below finishes: replay
+  // background triggers disarmed until ReplayTail finishes: replay
   // must not re-log its own records, and a recluster would permute row
   // ids mid-replay while the remaining records still address the
   // pre-crash id space.
@@ -914,6 +950,20 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
                                                        cidx.get(), eo));
   engine->state_->owned_table = std::move(table);
   engine->state_->owned_cidx = std::move(cidx);
+  sidx_files->resize(spec.secondary_indexes.size());
+  for (uint32_t& f : *sidx_files) f = engine->RegisterPoolFile();
+  stats->wall_seconds += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t_start)
+                             .count();
+  return engine;
+}
+
+Status ServingEngine::ReplayTail(const ServingOptions& options,
+                                 const RecoverSpec& spec,
+                                 std::span<const uint32_t> sidx_files,
+                                 RecoveryStats* stats) {
+  const auto t_start = std::chrono::steady_clock::now();
+  Durability* d = options.durability;
 
   // 3. Replay-derived structures: CMs (with per-engine rebuilt positional
   // bucketings) and secondary indexes are rebuilt from the base data, not
@@ -922,18 +972,20 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
     CmOptions co = cm.options;
     std::unique_ptr<ClusteredBucketing> cb;
     if (cm.c_bucket_target > 0) {
-      auto built = ClusteredBucketing::Build(engine->table(), co.c_col,
-                                             cm.c_bucket_target);
+      auto built =
+          ClusteredBucketing::Build(table(), co.c_col, cm.c_bucket_target);
       if (!built.ok()) return built.status();
       cb = std::make_unique<ClusteredBucketing>(std::move(*built));
       co.c_buckets = cb.get();  // AttachCm copies it
     }
-    Status s = engine->AttachCm(co);
+    Status s = AttachCm(co);
     if (!s.ok()) return s;
   }
-  for (const std::vector<size_t>& cols : spec.secondary_indexes) {
-    Status s = engine->AttachSecondaryIndex(cols);
-    if (!s.ok()) return s;
+  for (size_t i = 0; i < spec.secondary_indexes.size(); ++i) {
+    auto idx = BuildSecondaryIndex(spec.secondary_indexes[i]);
+    if (!idx.ok()) return idx.status();
+    InstallSecondaryIndex(spec.secondary_indexes[i], std::move(*idx),
+                          sidx_files[i]);
   }
 
   // 4. Replay the committed log tail through the ordinary write path, so
@@ -942,44 +994,38 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::Recover(
   // consecutive ids from the row count, which starts at the checkpoint's
   // count and is advanced only by these replayed records. A deletes-only
   // record replays idempotently (skip_dead), as ApplyDeletes applied it.
-  for (const WalRecord& rec : d->CommittedTail(&stats.uncommitted_dropped)) {
-    ++stats.records_scanned;
+  for (const WalRecord& rec : d->CommittedTail()) {
+    ++stats->records_scanned;
     Durability::WriteOp op;
     if (!Durability::DecodeWrite(rec.payload, &op)) {
       return Status::Corruption("undecodable row-write payload");
     }
-    if (!op.appends.empty() &&
-        RowId(engine->table().NumRows()) != op.first_row) {
+    if (!op.appends.empty() && RowId(table().NumRows()) != op.first_row) {
       return Status::Corruption(
           "replay row ids diverged from the logged append");
     }
     WriteSet w = {.deletes = op.deletes, .appends = op.appends};
     w.skip_dead = op.appends.empty();
-    Status s = engine->Write(kAnyEpoch, w);
+    Status s = Write(kAnyEpoch, w);
     if (!s.ok()) return s;
-    stats.rows_appended += op.appends.size();
-    stats.deletes_replayed += op.deletes.size();
-    stats.updates_replayed += rec.type == WalRecordType::kRowUpdate;
   }
 
   // 5. Re-attach durability and re-arm the background triggers. No fresh
   // checkpoint is needed: replay never permuted ids, so the existing
   // snapshot plus the retained tail plus future records stays replayable.
-  engine->durability_ = d;
-  d->set_metrics(engine->metrics_);
-  engine->recluster_tail_rows_.store(options.recluster_tail_rows,
-                                     std::memory_order_relaxed);
-  engine->compact_deleted_fraction_.store(options.compact_deleted_fraction,
-                                          std::memory_order_relaxed);
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    t_start)
-          .count();
+  durability_ = d;
+  d->set_metrics(metrics_);
+  recluster_tail_rows_.store(options.recluster_tail_rows,
+                             std::memory_order_relaxed);
+  compact_deleted_fraction_.store(options.compact_deleted_fraction,
+                                  std::memory_order_relaxed);
+  stats->wall_seconds += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t_start)
+                             .count();
   if (options.metrics != nullptr) {
-    options.metrics->recovery_ms->Record(stats.wall_seconds * 1e3);
+    options.metrics->recovery_ms->Record(stats->wall_seconds * 1e3);
   }
-  if (stats_out != nullptr) *stats_out = stats;
-  return engine;
+  return Status::OK();
 }
 
 }  // namespace corrmap::serve

@@ -486,6 +486,10 @@ class ServingEngine {
   const ConcurrentCorrelationMap& cm(size_t i) const;
   /// Clustered index of the current epoch (same stability caveat).
   const ClusteredIndex& cidx() const;
+  /// Buffer-pool file ids of the current epoch: heap, clustered index,
+  /// then each secondary index in attach order (all 0 with no pool). The
+  /// ids pick the pool stripes, so they decide hit/miss sequences.
+  std::vector<uint32_t> PoolFiles() const;
 
   /// Invariants of every attached CM plus the epoch's physical
   /// layout: the clustered region must be sorted on the clustered column
@@ -494,6 +498,38 @@ class ServingEngine {
 
  private:
   friend class Reclusterer;
+  friend class ShardRouter;
+
+  /// Recover's two halves, split so a router can open its shards in
+  /// order and then rebuild and replay them all at once. OpenCheckpoint
+  /// clones the checkpoint, builds its clustered index and constructs the
+  /// engine with durability detached and the background triggers
+  /// disarmed; it draws every pool file id the recovered engine will hold,
+  /// one per `spec` secondary index included (`*sidx_files`), so opening
+  /// shards in order issues ids exactly as recovering them one after
+  /// another does. ReplayTail rebuilds `spec`'s CMs and secondary indexes
+  /// into those ids, replays the committed log tail and re-attaches
+  /// durability; it touches no state another engine's ReplayTail does.
+  /// Each half adds its own wall time to `stats->wall_seconds`.
+  static Result<std::unique_ptr<ServingEngine>> OpenCheckpoint(
+      size_t c_col, const ServingOptions& options, const RecoverSpec& spec,
+      std::vector<uint32_t>* sidx_files, RecoveryStats* stats);
+  Status ReplayTail(const ServingOptions& options, const RecoverSpec& spec,
+                    std::span<const uint32_t> sidx_files,
+                    RecoveryStats* stats);
+
+  /// AttachSecondaryIndex's two halves: the build reads only the current
+  /// epoch's table, so a router builds every shard's index at once; the
+  /// install publishes it under pool file id `file`, which the caller
+  /// draws (RegisterPoolFile) in the order a one-shard-at-a-time attach
+  /// would.
+  Result<std::unique_ptr<SecondaryIndex>> BuildSecondaryIndex(
+      const std::vector<size_t>& columns) const;
+  void InstallSecondaryIndex(std::vector<size_t> columns,
+                             std::unique_ptr<SecondaryIndex> idx,
+                             uint32_t file);
+  /// A fresh pool file id (0 with no pool).
+  uint32_t RegisterPoolFile() const;
 
   /// Mutable calibration slot of one epoch: the published residency
   /// snapshot plan costing reads (stable between refreshes) plus the

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,50 @@
 #include "exec/plan_choice.h"
 
 namespace corrmap::serve {
+
+namespace {
+
+/// Runs fn(s) for every shard s in [0, n) on min(n, hardware threads)
+/// threads, the calling thread among them, and joins them all. Returns
+/// the failure of the lowest-numbered failing shard -- the status a loop
+/// over the shards in order returns -- or OK; an exception fn throws is
+/// rethrown the same way, once every thread has joined. fn(s) must touch
+/// nothing another shard's fn touches, except thread-safe counters.
+Status ForEachShard(size_t n, const std::function<Status(size_t)>& fn) {
+  const size_t threads = std::min<size_t>(
+      n, std::max<size_t>(std::thread::hardware_concurrency(), 1));
+  std::vector<Status> status(n);
+  std::vector<std::exception_ptr> thrown(n);
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    for (size_t s = next++; s < n; s = next++) {
+      try {
+        status[s] = fn(s);
+      } catch (...) {
+        thrown[s] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads);
+  for (size_t t = 1; t < threads; ++t) {
+    // A thread that cannot start leaves its shards to the others.
+    try {
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;
+    }
+  }
+  work();
+  for (std::thread& t : helpers) t.join();
+  for (size_t s = 0; s < n; ++s) {
+    if (thrown[s]) std::rethrow_exception(thrown[s]);
+    if (!status[s].ok()) return status[s];
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     const Table& table, size_t c_col, RouterOptions options) {
@@ -57,27 +104,35 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     return Status::InvalidArgument(
         "shard_durability must carry one manager per requested shard");
   }
+  // Deep copy with dictionaries preserved: physical keys keep their
+  // codes across the partition, so a Key routes and compares the same in
+  // every shard and in the source table. The copies and their clustered
+  // indexes read only the source, so every shard builds at once.
+  const size_t n_shards = bounds.size() - 1;
+  r->shards_.resize(n_shards);
+  Status built = ForEachShard(n_shards, [&](size_t s) -> Status {
+    std::vector<RowId> order(size_t(bounds[s + 1] - bounds[s]));
+    std::iota(order.begin(), order.end(), bounds[s]);
+    Shard& sh = r->shards_[s];
+    sh.table = table.CloneReordered(order);
+    auto scidx = ClusteredIndex::Build(*sh.table, c_col);
+    if (!scidx.ok()) return scidx.status();
+    sh.cidx = std::make_unique<ClusteredIndex>(std::move(*scidx));
+    return Status::OK();
+  });
+  if (!built.ok()) return built;
+  // Engines are constructed in shard order: each draws its pool file ids
+  // as it is constructed, and the ids pick the pool stripes.
   ServingOptions eo = r->SharedSetup(options);
-  r->shards_.reserve(bounds.size() - 1);
-  for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+  for (size_t s = 0; s < n_shards; ++s) {
     // Durability is strictly per shard: each engine logs its own row-id
     // space into its own WAL and checkpoints its own epoch swaps.
     eo.durability = options.shard_durability.empty()
                         ? nullptr
                         : options.shard_durability[s];
-    std::vector<RowId> order(size_t(bounds[s + 1] - bounds[s]));
-    std::iota(order.begin(), order.end(), bounds[s]);
-    Shard sh;
-    // Deep copy with dictionaries preserved: physical keys keep their
-    // codes across the partition, so a Key routes and compares the same
-    // in every shard and in the source table.
-    sh.table = table.CloneReordered(order);
-    auto scidx = ClusteredIndex::Build(*sh.table, c_col);
-    if (!scidx.ok()) return scidx.status();
-    sh.cidx = std::make_unique<ClusteredIndex>(std::move(*scidx));
+    Shard& sh = r->shards_[s];
     sh.engine =
         std::make_unique<ServingEngine>(sh.table.get(), sh.cidx.get(), eo);
-    r->shards_.push_back(std::move(sh));
   }
   if (r->metrics_ != nullptr) r->RegisterMetricsGauges();
   return r;
@@ -101,18 +156,30 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Recover(
   r->c_col_ = c_col;
   r->splits_ = std::move(splits);
 
+  // Shards open in order, drawing every pool file id each will hold as
+  // recovering them one after another does; then each rebuilds its CMs
+  // and indexes and replays its own log at once. Table/cidx stay null:
+  // a recovered engine owns both.
   ServingOptions eo = r->SharedSetup(options);
-
-  r->shards_.reserve(n_shards);
+  std::vector<ServingOptions> shard_eo(n_shards, eo);
+  std::vector<std::vector<uint32_t>> sidx_files(n_shards);
+  std::vector<RecoveryStats> shard_stats(n_shards);
+  r->shards_.resize(n_shards);
   for (size_t s = 0; s < n_shards; ++s) {
-    eo.durability = options.shard_durability[s];
-    RecoveryStats shard_stats;
-    auto engine = ServingEngine::Recover(c_col, eo, spec, &shard_stats);
+    shard_eo[s].durability = options.shard_durability[s];
+    auto engine = ServingEngine::OpenCheckpoint(c_col, shard_eo[s], spec,
+                                                &sidx_files[s],
+                                                &shard_stats[s]);
     if (!engine.ok()) return engine.status();
-    Shard sh;  // table/cidx stay null: the recovered engine owns both
-    sh.engine = std::move(*engine);
-    r->shards_.push_back(std::move(sh));
-    if (stats != nullptr) stats->push_back(shard_stats);
+    r->shards_[s].engine = std::move(*engine);
+  }
+  Status replayed = ForEachShard(n_shards, [&](size_t s) {
+    return r->shards_[s].engine->ReplayTail(shard_eo[s], spec, sidx_files[s],
+                                            &shard_stats[s]);
+  });
+  if (!replayed.ok()) return replayed;
+  if (stats != nullptr) {
+    stats->insert(stats->end(), shard_stats.begin(), shard_stats.end());
   }
   if (r->metrics_ != nullptr) r->RegisterMetricsGauges();
   return r;
@@ -197,29 +264,38 @@ size_t ShardRouter::RouteKey(const Key& k) const {
 }
 
 Status ShardRouter::AttachCm(const CmOptions& cm_options) {
-  for (Shard& sh : shards_) {
+  return ForEachShard(shards_.size(), [&](size_t s) -> Status {
+    ServingEngine& engine = *shards_[s].engine;
     CmOptions opts = cm_options;
     std::unique_ptr<ClusteredBucketing> cb;
     if (cm_options.c_buckets != nullptr) {
       // A positional bucketing is only meaningful over one shard's own
       // clustered region; re-base the caller's target per shard.
       auto built = ClusteredBucketing::Build(
-          sh.engine->table(), opts.c_col,
+          engine.table(), opts.c_col,
           cm_options.c_buckets->target_tuples_per_bucket());
       if (!built.ok()) return built.status();
       cb = std::make_unique<ClusteredBucketing>(std::move(*built));
       opts.c_buckets = cb.get();
     }
-    Status s = sh.engine->AttachCm(opts);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
+    return engine.AttachCm(opts);
+  });
 }
 
 Status ShardRouter::AttachSecondaryIndex(const std::vector<size_t>& columns) {
-  for (Shard& sh : shards_) {
-    Status s = sh.engine->AttachSecondaryIndex(columns);
-    if (!s.ok()) return s;
+  std::vector<std::unique_ptr<SecondaryIndex>> built(shards_.size());
+  Status s = ForEachShard(shards_.size(), [&](size_t i) -> Status {
+    auto idx = shards_[i].engine->BuildSecondaryIndex(columns);
+    if (!idx.ok()) return idx.status();
+    built[i] = std::move(*idx);
+    return Status::OK();
+  });
+  if (!s.ok()) return s;
+  // Installed in shard order, each under a pool file id drawn in turn.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    ServingEngine& engine = *shards_[i].engine;
+    engine.InstallSecondaryIndex(columns, std::move(built[i]),
+                                 engine.RegisterPoolFile());
   }
   return Status::OK();
 }

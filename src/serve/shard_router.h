@@ -108,7 +108,9 @@ class ShardRouter {
   /// key ranges balanced by row count and builds one engine per range.
   /// The source table is deep-copied per shard (dictionaries preserved,
   /// so physical keys keep their codes across the partition); it only
-  /// needs to outlive this call.
+  /// needs to outlive this call. The copies and their clustered indexes
+  /// are built on up to one thread per core; the engines are then
+  /// constructed in shard order, so pool file ids follow shard order.
   static Result<std::unique_ptr<ShardRouter>> Create(const Table& table,
                                                      size_t c_col,
                                                      RouterOptions options =
@@ -122,8 +124,13 @@ class ShardRouter {
   /// alongside the shard logs (they change only on re-partitioning).
   /// `spec` lists the replay-derived structures to rebuild per shard;
   /// clustered-bucketing targets are re-based per shard exactly as
-  /// AttachCm does. Per-shard RecoveryStats are appended to `stats` when
-  /// non-null.
+  /// AttachCm does. Shards open in order -- each draws every pool file
+  /// id it will hold -- and then rebuild and replay at once on up to one
+  /// thread per core, so the router comes back exactly as recovering its
+  /// shards one at a time would bring it. On failure, returns the
+  /// lowest-numbered failing shard's error. On success, per-shard
+  /// RecoveryStats are appended to `stats` (when non-null) in shard
+  /// order.
   static Result<std::unique_ptr<ShardRouter>> Recover(
       size_t c_col, std::vector<Key> splits, RouterOptions options,
       const ServingEngine::RecoverSpec& spec,
@@ -135,7 +142,12 @@ class ShardRouter {
 
   /// Attaches a CM / secondary index to every shard (setup phase only,
   /// like the engine's own attach APIs). A clustered-bucketing target is
-  /// re-based per shard over the shard's own key range.
+  /// re-based per shard over the shard's own key range. The shards build
+  /// at once on up to one thread per core; secondary indexes install in
+  /// shard order, so their pool file ids follow shard order. On failure,
+  /// returns the lowest-numbered failing shard's error: a failed
+  /// secondary-index attach attaches nothing, while a failed AttachCm
+  /// may leave other shards with the CM (discard the router).
   Status AttachCm(const CmOptions& cm_options);
   Status AttachSecondaryIndex(const std::vector<size_t>& columns);
 

@@ -630,6 +630,24 @@ TEST(ObsEngineTest, CountersMatchIssuedOperations) {
   }
 }
 
+TEST(ObsEngineTest, MixedWriteCountsEveryRow) {
+  // One WriteSet that both deletes and appends is one update, and its
+  // rows still reach the row counters.
+  ObservedEngineFixture f;
+  const ServingMetrics& m = f.metrics;
+  const RowId dead[2] = {5, 6};
+  const std::vector<std::vector<Key>> row = {
+      {Key(int64_t{40}), Key(int64_t{400})}};
+  const ServingEngine::WriteSet w{.deletes = dead, .appends = row};
+  ServingEngine::WriteGuard guard;
+  ASSERT_TRUE(f.engine->Prepare(ServingEngine::kAnyEpoch, w, &guard).ok());
+  ASSERT_TRUE(f.engine->Commit(&guard, w).ok());
+  EXPECT_EQ(m.updates->Value(), 1u);
+  EXPECT_EQ(m.deletes->Value(), 2u);
+  EXPECT_EQ(m.rows_appended->Value(), 1u);
+  EXPECT_EQ(m.appends->Value(), 0u);
+}
+
 TEST(ObsEngineTest, GaugesFollowEngineLifetime) {
   auto f = std::make_unique<ObservedEngineFixture>();
   // While the engine lives, its callback gauges are in every export.

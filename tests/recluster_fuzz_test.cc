@@ -297,7 +297,7 @@ TEST(ReclusterFuzzTest, RandomInterleavingsKeepProbeEqualsScan) {
   }
 }
 
-TEST(ReclusterFuzzTest, RandomInterleavingsFirstMatchPolicyStaysExact) {
+TEST(ReclusterFuzzTest, RandomInterleavingsScanAverseDiskStaysExact) {
   // These seeds once pinned the first-applicable-CM policy so the CM arm
   // ran on every applicable select. The scan-averse disk now makes the
   // cost-based choice pick it, and the floor below keeps that coverage
@@ -673,7 +673,7 @@ TEST(CrudFuzzTest, SeededInterleavingsMatchShadowOracleCostBased) {
   }
 }
 
-TEST(CrudFuzzTest, SeededInterleavingsMatchShadowOracleFirstMatch) {
+TEST(CrudFuzzTest, SeededInterleavingsMatchShadowOracleScanAverseDisk) {
   // Seeds that once pinned the first-applicable-CM policy; the
   // scan-averse disk keeps the CM arm winning, and the floor keeps it
   // covered.

@@ -31,9 +31,7 @@ using serve::ServingOptions;
 using serve::SharedLookupCache;
 
 /// Correlated two-column table (c ~ u / 10) clustered on c, with one plain
-/// CM and one concurrent serving CM built over the same rows. (The
-/// ShardedCmTest suite keeps the name of the hash-sharded wrapper the
-/// concurrent map replaced; its parity checks carry over unchanged.)
+/// CM and one concurrent serving CM built over the same rows.
 struct ServedCmFixture {
   std::unique_ptr<Table> table;
   std::unique_ptr<CorrelationMap> plain;
@@ -74,7 +72,7 @@ void ExpectServedMatchesPlain(const ServedCmFixture& f,
   EXPECT_EQ(served.entries_probed, single.entries_probed);
 }
 
-TEST(ShardedCmTest, LookupMatchesSingleMapAcrossPredicateShapes) {
+TEST(ConcurrentCmTest, LookupMatchesSingleMapAcrossPredicateShapes) {
   ServedCmFixture f;
   EXPECT_EQ(f.served->NumUKeys(), f.plain->NumUKeys());
   EXPECT_EQ(f.served->NumEntries(), f.plain->NumEntries());
@@ -92,7 +90,7 @@ TEST(ShardedCmTest, LookupMatchesSingleMapAcrossPredicateShapes) {
   ExpectServedMatchesPlain(f, none);
 }
 
-TEST(ShardedCmTest, MaintenanceRoutesToShardsAndStaysEquivalent) {
+TEST(ConcurrentCmTest, MaintenanceRoutesToShardsAndStaysEquivalent) {
   ServedCmFixture f;
   Rng rng(59);
   for (int i = 0; i < 500; ++i) {
@@ -114,7 +112,7 @@ TEST(ShardedCmTest, MaintenanceRoutesToShardsAndStaysEquivalent) {
   ExpectServedMatchesPlain(f, wide);
 }
 
-TEST(ShardedCmTest, InsertRowsBatchedMatchesRowAtATime) {
+TEST(ConcurrentCmTest, InsertRowsBatchedMatchesRowAtATime) {
   ServedCmFixture f;
   // Append fresh rows to the table (tail; ordinals are raw keys so no
   // clustering requirement for CM maintenance).
@@ -134,7 +132,7 @@ TEST(ShardedCmTest, InsertRowsBatchedMatchesRowAtATime) {
   EXPECT_TRUE(f.served->CheckInvariants().ok());
 }
 
-TEST(ShardedCmTest, RoutedPointLookupMatchesAllShardProbe) {
+TEST(ConcurrentCmTest, RoutedPointLookupMatchesAllShardProbe) {
   // Random point lookups -- several keys each, including keys the map
   // does not hold -- answer exactly as the plain map does, probing the
   // same entries.
@@ -150,7 +148,7 @@ TEST(ShardedCmTest, RoutedPointLookupMatchesAllShardProbe) {
   }
 }
 
-TEST(ShardedCmTest, PrecomputedPairWritePathMatchesRowMaintenance) {
+TEST(ConcurrentCmTest, PrecomputedPairWritePathMatchesRowMaintenance) {
   // The concurrent write path buckets each row before locking and hands
   // (u-key, ordinal) pairs down; the post-state must equal per-row
   // maintenance on the plain map, including deletes.
@@ -183,7 +181,7 @@ TEST(ShardedCmTest, PrecomputedPairWritePathMatchesRowMaintenance) {
   EXPECT_TRUE(f.served->CheckInvariants().ok());
 }
 
-TEST(ShardedCmTest, EpochBracketsMaintenance) {
+TEST(ConcurrentCmTest, EpochBracketsMaintenance) {
   ServedCmFixture f;
   const uint64_t e0 = f.served->Epoch();
   const std::array<Key, 1> u = {Key(int64_t{5000})};

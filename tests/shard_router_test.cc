@@ -5,20 +5,26 @@
 // that shard's stale writers), and cross-shard update moves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/access_path.h"
 #include "index/clustered_index.h"
 #include "obs/serving_metrics.h"
+#include "serve/durability.h"
 #include "serve/shard_router.h"
 #include "storage/table.h"
 
 namespace corrmap {
 namespace {
 
+using serve::Durability;
+using serve::DurabilityOptions;
 using serve::RoutedSelectResult;
 using serve::RouterOptions;
 using serve::ServingEngine;
@@ -517,6 +523,255 @@ TEST(ShardRouterTest, PoolLessEnginesScatterOnTheFallbackPool) {
     const RoutedSelectResult res = (*r)->ExecuteSelect(q);
     EXPECT_EQ(res.shards_visited, (*r)->num_shards());
     EXPECT_EQ(res.merged.num_matches, ScanAll(**r, q));
+  }
+}
+
+/// Everything a built or recovered router's later behaviour depends on:
+/// per shard, the pool file ids, row counts and every CM's pairs; then
+/// the modeled cost, plan kind and matches of a fixed run of selects.
+/// Pool-less engines (num_workers == 0) visit their shards inline and in
+/// order, so the selects touch the shared pool in one fixed sequence.
+struct RouterSignature {
+  using Pair = std::tuple<CmKey, int64_t, uint32_t>;
+  std::vector<std::vector<uint32_t>> files;
+  std::vector<std::pair<size_t, size_t>> rows;  ///< (rows, live rows)
+  std::vector<std::vector<std::vector<Pair>>> cms;
+  std::vector<std::tuple<double, PlanKind, uint64_t>> selects;
+
+  RouterSignature(ShardRouter& r, const std::vector<Query>& queries) {
+    for (size_t s = 0; s < r.num_shards(); ++s) {
+      const ServingEngine& e = r.shard(s);
+      files.push_back(e.PoolFiles());
+      rows.emplace_back(e.table().NumRows(), e.table().NumLiveRows());
+      cms.emplace_back();
+      for (size_t i = 0; i < e.num_cms(); ++i) {
+        std::vector<Pair> pairs;
+        for (const CorrelationMap::Record& rec : e.cm(i).ToRecords()) {
+          pairs.emplace_back(rec.u, rec.c_ordinal, rec.count);
+        }
+        std::sort(pairs.begin(), pairs.end());
+        cms.back().push_back(std::move(pairs));
+      }
+    }
+    for (const Query& q : queries) {
+      const serve::SelectResult res = r.ExecuteSelect(q).merged;
+      selects.emplace_back(res.simulated_ms, res.plan_kind, res.num_matches);
+    }
+  }
+  bool operator==(const RouterSignature&) const = default;
+};
+
+/// The fan-out fixture: a correlated four-column table (c ~ u/10, v, a
+/// stable id), router options with pool-less engines and a pool far
+/// smaller than the heap (so stripe choice shows in hits and misses),
+/// the two CMs and secondary index every shard carries, and 50 fixed
+/// selects over u, v and c.
+struct FanOutFixture {
+  std::unique_ptr<Table> table;
+  RouterOptions opts;
+  CmOptions plain_cm;
+  CmOptions bucketed_cm;
+  std::vector<size_t> sidx = {2};
+  std::vector<Query> queries;
+
+  FanOutFixture() {
+    Schema schema({ColumnDef::Int64("c"), ColumnDef::Int64("u"),
+                   ColumnDef::Int64("v"), ColumnDef::Int64("id")});
+    table = std::make_unique<Table>("t", std::move(schema));
+    Rng rng(0xFA17);
+    for (int i = 0; i < 12000; ++i) {
+      const int64_t u = rng.UniformInt(0, 999);
+      std::array<Value, 4> row = {Value(u / 10 + rng.UniformInt(0, 1)),
+                                  Value(u), Value(rng.UniformInt(0, 49)),
+                                  Value(int64_t{i})};
+      EXPECT_TRUE(table->AppendRow(row).ok());
+    }
+    EXPECT_TRUE(table->ClusterBy(0).ok());
+    opts.num_shards = 4;
+    opts.engine.num_workers = 0;
+    opts.engine.buffer_pool_pages = 48;
+    opts.engine.reserve_rows = table->NumRows() + 4096;
+    plain_cm.u_cols = {1};
+    plain_cm.u_bucketers = {Bucketer::Identity()};
+    plain_cm.c_col = 0;
+    bucketed_cm.u_cols = {2};
+    bucketed_cm.u_bucketers = {Bucketer::NumericWidth(4)};
+    bucketed_cm.c_col = 0;
+    for (int i = 0; i < 50; ++i) {
+      const int64_t lo = rng.UniformInt(0, 990);
+      switch (i % 3) {
+        case 0:
+          queries.push_back(Query({Predicate::Between(
+              *table, "u", Value(lo), Value(lo + rng.UniformInt(0, 40)))}));
+          break;
+        case 1:
+          queries.push_back(
+              Query({Predicate::Eq(*table, "v", Value(lo % 50))}));
+          break;
+        default:
+          queries.push_back(Query({Predicate::Between(
+              *table, "c", Value(lo / 10), Value(lo / 10 + 3))}));
+          break;
+      }
+    }
+  }
+
+  /// Create + AttachCm (plain, then bucketed at 32 rows a bucket) +
+  /// AttachSecondaryIndex, as a deployment sets a router up.
+  std::unique_ptr<ShardRouter> Build(const RouterOptions& o) const {
+    auto r = ShardRouter::Create(*table, 0, o);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) return nullptr;
+    EXPECT_TRUE((*r)->AttachCm(plain_cm).ok());
+    auto cb = ClusteredBucketing::Build(*table, 0, 32);
+    EXPECT_TRUE(cb.ok());
+    CmOptions b = bucketed_cm;
+    b.c_buckets = &*cb;
+    EXPECT_TRUE((*r)->AttachCm(b).ok());
+    EXPECT_TRUE((*r)->AttachSecondaryIndex(sidx).ok());
+    return std::move(*r);
+  }
+
+  ServingEngine::RecoverSpec Spec() const {
+    ServingEngine::RecoverSpec spec;
+    spec.cms.push_back({plain_cm, 0});
+    spec.cms.push_back({bucketed_cm, 32});
+    spec.secondary_indexes.push_back(sidx);
+    return spec;
+  }
+};
+
+TEST(ShardRouterTest, CreateBuildsShardsIdenticallyEveryTime) {
+  FanOutFixture f;
+  std::unique_ptr<ShardRouter> first = f.Build(f.opts);
+  std::unique_ptr<ShardRouter> second = f.Build(f.opts);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  const size_t n = first->num_shards();
+  ASSERT_EQ(n, 4u);
+  // The ids an in-order build issues: each engine draws its heap and
+  // clustered-index files as it is constructed, then the attach draws
+  // one secondary-index file per shard.
+  for (size_t s = 0; s < n; ++s) {
+    const std::vector<uint32_t> want = {uint32_t(2 * s), uint32_t(2 * s + 1),
+                                        uint32_t(2 * n + s)};
+    EXPECT_EQ(first->shard(s).PoolFiles(), want) << "shard " << s;
+  }
+  const RouterSignature a(*first, f.queries);
+  const RouterSignature b(*second, f.queries);
+  EXPECT_EQ(a.files, b.files);
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.cms, b.cms);
+  EXPECT_EQ(a.selects, b.selects);
+}
+
+TEST(ShardRouterTest, RecoverRebuildsShardsIdenticallyEveryTime) {
+  FanOutFixture f;
+  std::vector<std::unique_ptr<Durability>> managers;
+  RouterOptions opts = f.opts;
+  for (size_t s = 0; s < opts.num_shards; ++s) {
+    DurabilityOptions dopts;
+    dopts.group_commit_ops = 1;
+    managers.push_back(std::make_unique<Durability>(dopts));
+    opts.shard_durability.push_back(managers.back().get());
+  }
+  std::unique_ptr<ShardRouter> router = f.Build(opts);
+  ASSERT_NE(router, nullptr);
+  // A log tail on every shard: routed appends, deletes, a cross-shard
+  // update, and one recluster that moves shard 2's checkpoint.
+  Rng rng(0xBEEF);
+  int64_t next_id = 100000;
+  for (int batch = 0; batch < 6; ++batch) {
+    std::vector<std::vector<Key>> rows;
+    for (int i = 0; i < 80; ++i) {
+      const int64_t u = rng.UniformInt(0, 999);
+      rows.push_back({Key(u / 10), Key(u), Key(rng.UniformInt(0, 49)),
+                      Key(next_id++)});
+    }
+    ASSERT_TRUE(router->ApplyAppend(rows).ok());
+    if (batch == 2) {
+      ASSERT_TRUE(router->Recluster(2).ok());
+    }
+  }
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    for (RowId r = 3; r < 60; r += 7) {
+      ASSERT_TRUE(router->ApplyDelete(s, r).ok());
+    }
+  }
+  const std::array<Key, 4> moved = {Key(int64_t{99}), Key(int64_t{990}),
+                                    Key(int64_t{7}), Key(next_id++)};
+  ASSERT_TRUE(router->ApplyUpdate(0, 61, moved).ok());
+  const std::vector<Key> splits = router->split_keys();
+  router.reset();
+  for (auto& m : managers) m->Crash();
+
+  auto recover = [&] {
+    std::vector<serve::RecoveryStats> stats;
+    auto r = ShardRouter::Recover(0, splits, opts, f.Spec(), &stats);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(stats.size(), opts.num_shards);
+    // Stats stay in shard order: shard 2 alone checkpointed at epoch 1.
+    for (size_t s = 0; s < stats.size(); ++s) {
+      EXPECT_EQ(stats[s].checkpoint_epoch, s == 2 ? 1u : 0u) << "shard " << s;
+      EXPECT_GT(stats[s].records_scanned, 0u) << "shard " << s;
+    }
+    return r.ok() ? std::move(*r) : nullptr;
+  };
+  std::unique_ptr<ShardRouter> first = recover();
+  ASSERT_NE(first, nullptr);
+  // The ids recovering one shard after another issues: heap, clustered
+  // index and secondary index, shard by shard.
+  for (size_t s = 0; s < first->num_shards(); ++s) {
+    const std::vector<uint32_t> want = {uint32_t(3 * s), uint32_t(3 * s + 1),
+                                        uint32_t(3 * s + 2)};
+    EXPECT_EQ(first->shard(s).PoolFiles(), want) << "shard " << s;
+  }
+  ASSERT_TRUE(first->CheckInvariants().ok());
+  const RouterSignature a(*first, f.queries);
+  first.reset();
+  std::unique_ptr<ShardRouter> second = recover();
+  ASSERT_NE(second, nullptr);
+  const RouterSignature b(*second, f.queries);
+  EXPECT_EQ(a.files, b.files);
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.cms, b.cms);
+  EXPECT_EQ(a.selects, b.selects);
+  for (const Query& q : f.queries) {
+    EXPECT_EQ(second->ExecuteSelect(q).merged.num_matches, ScanAll(*second, q));
+  }
+}
+
+TEST(ShardRouterTest, RecoverReturnsTheLowestFailingShardsError) {
+  FanOutFixture f;
+  std::vector<std::unique_ptr<Durability>> managers;
+  RouterOptions opts = f.opts;
+  opts.num_shards = 3;
+  for (size_t s = 0; s < opts.num_shards; ++s) {
+    DurabilityOptions dopts;
+    dopts.group_commit_ops = 1;
+    managers.push_back(std::make_unique<Durability>(dopts));
+    opts.shard_durability.push_back(managers.back().get());
+  }
+  std::unique_ptr<ShardRouter> router = f.Build(opts);
+  ASSERT_NE(router, nullptr);
+  ASSERT_EQ(router->num_shards(), 3u);
+  const std::vector<Key> splits = router->split_keys();
+  router.reset();
+  // Shard 1 logs an append whose row ids cannot re-land (Corruption);
+  // shard 2 a delete past its heap (OutOfRange). Shard 0 stays clean.
+  const std::vector<std::vector<Key>> row = {
+      {Key(int64_t{50}), Key(int64_t{500}), Key(int64_t{5}), Key(int64_t{-1})}};
+  managers[1]->LogWrite(RowId(1000000), {}, row);
+  const RowId past[1] = {RowId(1000000)};
+  managers[2]->LogWrite(RowId(0), past, {});
+  for (auto& m : managers) m->Crash();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto r = ShardRouter::Recover(0, splits, opts, f.Spec());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), Status::Code::kCorruption)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("replay row ids diverged"),
+              std::string::npos);
   }
 }
 
