@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark): raw operation throughput of the
-// core structures -- CM lookup/insert/delete, B+Tree insert/lookup/scan,
-// bucketer mapping, clustered-index probes, the shared row filter
-// every access path re-checks its rows with, and the buffer-pool touches
-// a serving select prices its heap sweep with. These complement the
-// paper-figure benches with wall-clock numbers for the in-memory hot paths.
+// core structures -- CM build/lookup/insert/delete, B+Tree
+// insert/lookup/scan, bucketer mapping, clustered-index probes, the shared
+// row filter every access path re-checks its rows with, and the
+// buffer-pool touches a serving select prices its heap sweep with. These
+// complement the paper-figure benches with wall-clock numbers for the
+// in-memory hot paths.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "exec/access_path.h"
 #include "index/btree.h"
 #include "index/clustered_index.h"
+#include "serve/concurrent_cm.h"
 #include "storage/buffer_pool.h"
 #include "storage/table.h"
 
@@ -55,6 +57,33 @@ void BM_CmBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CmBuild)->Arg(10000)->Arg(100000);
+
+void BM_ConcurrentCmBuild(benchmark::State& state) {
+  // The serving engine's bulk build (attach, recluster, recovery) into a
+  // fresh map, directory sync included; creating and freeing the map are
+  // not timed.
+  auto t = MakeTable(size_t(state.range(0)));
+  CmOptions opts;
+  opts.u_cols = {1};
+  opts.u_bucketers = {Bucketer::Identity()};
+  opts.c_col = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      auto cm = serve::ConcurrentCorrelationMap::Create(t.get(), opts);
+      state.ResumeTiming();
+      benchmark::DoNotOptimize(cm->BuildFromTable());
+      state.PauseTiming();
+      benchmark::DoNotOptimize(cm->NumEntries());
+    }
+    state.ResumeTiming();
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      double(state.range(0)),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ConcurrentCmBuild)->Arg(100000)->Arg(1000000);
 
 void BM_CmLookupPoint(benchmark::State& state) {
   auto t = MakeTable(100000);

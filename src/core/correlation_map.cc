@@ -140,6 +140,74 @@ Status CorrelationMap::BuildFromTable() {
   return Status::OK();
 }
 
+std::vector<CorrelationMap::Record> CorrelationMap::LiveRecords(
+    size_t row_limit) const {
+  // Algorithm 1: scan, bucket both sides, count co-occurrences. The counts
+  // live in `records`, one per distinct pair in first-seen order; `slots`
+  // is an open-addressing index over records[indexed_from..] (a slot holds
+  // a record's index + 1, so any value <= indexed_from is vacant), kept at
+  // most half full. While the clustered ordinals never decrease -- the
+  // clustered region -- a pair can recur only within its ordinal's run, so
+  // each new run just moves indexed_from past the records before it and
+  // the index stays the size of one run. The first row whose ordinal falls
+  // below its predecessor's (an unordered tail) indexes every record, and
+  // the index stays global from then on.
+  const size_t n = std::min(row_limit, table_->NumRows());
+  std::vector<Record> records;
+  std::vector<uint32_t> slots(64, 0);
+  size_t mask = slots.size() - 1;
+  size_t indexed_from = 0;
+  bool ordered = true;
+  const auto slot_of = [&mask](const CmKey& u, int64_t c) {
+    return size_t(CmKeyHash{}(u) ^ (uint64_t(c) * 0x9e3779b97f4a7c15ULL)) &
+           mask;
+  };
+  const auto reindex = [&](size_t capacity) {
+    slots.assign(capacity, 0);
+    mask = capacity - 1;
+    for (size_t k = indexed_from; k < records.size(); ++k) {
+      size_t j = slot_of(records[k].u, records[k].c_ordinal);
+      while (slots[j] != 0) j = (j + 1) & mask;
+      slots[j] = uint32_t(k + 1);
+    }
+  };
+  for (RowId r = 0; r < n; ++r) {
+    if (table_->IsDeleted(r)) continue;
+    const CmKey u = UKeyOfRow(r);
+    const int64_t c = ClusteredOrdinalOfRow(r);
+    if (ordered && !records.empty() && c != records.back().c_ordinal) {
+      // records.back() opened the current run (a run's first row is new).
+      if (c > records.back().c_ordinal) {
+        indexed_from = records.size();
+      } else {
+        ordered = false;
+        indexed_from = 0;
+        reindex(std::bit_ceil(2 * records.size() + 2));
+      }
+    }
+    size_t i = slot_of(u, c);
+    while (slots[i] > indexed_from &&
+           !(records[slots[i] - 1].c_ordinal == c &&
+             records[slots[i] - 1].u == u)) {
+      i = (i + 1) & mask;
+    }
+    if (slots[i] > indexed_from) {
+      ++records[slots[i] - 1].count;
+      continue;
+    }
+    records.push_back({u, c, 1});
+    slots[i] = uint32_t(records.size());
+    if ((records.size() - indexed_from) * 2 > slots.size()) {
+      reindex(slots.size() * 2);
+    }
+  }
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return a.u == b.u ? a.c_ordinal < b.c_ordinal : a.u < b.u;
+            });
+  return records;
+}
+
 void CorrelationMap::InsertRow(RowId row) {
   UpsertPair(UKeyOfRow(row), ClusteredOrdinalOfRow(row));
 }
@@ -621,13 +689,22 @@ Status CorrelationMap::LoadRecords(std::span<const Record> records) {
   directory_full_rebuild_ = true;
   delta_added_.clear();
   delta_erased_.clear();
+  // Consecutive records of one u-key (all of them, when sorted) share one
+  // hash lookup (element pointers survive rehashes), and ascending
+  // ordinals append at the count map's end.
+  HashMap::value_type* entry = nullptr;
   for (const auto& rec : records) {
     if (rec.u.n != options_.u_cols.size()) {
       return Status::Corruption("record arity mismatch");
     }
     if (rec.count == 0) return Status::Corruption("zero count record");
-    auto [it, inserted] = map_[rec.u].emplace(rec.c_ordinal, rec.count);
-    if (!inserted) return Status::Corruption("duplicate record");
+    if (entry == nullptr || !(entry->first == rec.u)) {
+      entry = &*map_.try_emplace(rec.u).first;
+    }
+    CountMap& counts = entry->second;
+    const size_t before = counts.size();
+    counts.emplace_hint(counts.end(), rec.c_ordinal, rec.count);
+    if (counts.size() == before) return Status::Corruption("duplicate record");
     ++num_entries_;
   }
   return Status::OK();

@@ -190,9 +190,24 @@ class CorrelationMap {
     return *this;
   }
 
+  /// One (u-key, clustered ordinal, co-occurrence count) row of the map.
+  struct Record {
+    CmKey u;
+    int64_t c_ordinal;
+    uint32_t count;
+  };
+
   /// Algorithm 1: full-scan build (also usable after Create on a non-empty
   /// table). Skips deleted rows.
   Status BuildFromTable();
+
+  /// Algorithm 1's scan, aggregated as it goes: one record per distinct
+  /// (u-key, clustered ordinal) pair of the live rows below `row_limit`,
+  /// counting the rows that share it, sorted by (u-key, ordinal). Rows fold
+  /// into a flat hash index, so only the distinct pairs -- not one pair per
+  /// row -- are sorted. Reads the table only, so the serving wrapper's bulk
+  /// build runs it outside its lock and hands the result to LoadRecords.
+  std::vector<Record> LiveRecords(size_t row_limit = ~size_t{0}) const;
 
   /// Maintenance for a single row currently present in the table.
   void InsertRow(RowId row);
@@ -330,14 +345,16 @@ class CorrelationMap {
   /// Structural check: counts are positive, num_entries consistent.
   Status CheckInvariants() const;
 
-  /// Serializes to flat (u-key, ordinal, count) records and rebuilds from
-  /// them (checkpoint/recovery path used with the WAL).
-  struct Record {
-    CmKey u;
-    int64_t c_ordinal;
-    uint32_t count;
-  };
+  /// Every (u-key, ordinal, count) pair, in the hash map's iteration order.
   std::vector<Record> ToRecords() const;
+  /// Replaces the map's content with `records` and schedules a wholesale
+  /// directory rebuild: the serving wrapper's bulk-build loader
+  /// (ConcurrentCorrelationMap::BuildFromTable). u-keys enter the hash map
+  /// in first-occurrence order, so records sorted by (u-key, ordinal), as
+  /// LiveRecords returns them, give a fresh map the same layout -- hence
+  /// the same ToRecords order -- as UpsertPairsBatched over the rows they
+  /// count. Corruption on an arity mismatch, a zero count or a repeated
+  /// pair.
   Status LoadRecords(std::span<const Record> records);
 
  private:

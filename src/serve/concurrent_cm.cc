@@ -1,7 +1,5 @@
 #include "serve/concurrent_cm.h"
 
-#include <algorithm>
-
 namespace corrmap::serve {
 
 Result<ConcurrentCorrelationMap> ConcurrentCorrelationMap::Create(
@@ -12,15 +10,18 @@ Result<ConcurrentCorrelationMap> ConcurrentCorrelationMap::Create(
 }
 
 Status ConcurrentCorrelationMap::BuildFromTable(size_t row_limit) {
-  const Table& t = table();
-  const size_t n = std::min(row_limit, t.NumRows());
-  std::vector<RowId> rows;
-  rows.reserve(n);
-  for (RowId r = 0; r < n; ++r) {
-    if (!t.IsDeleted(r)) rows.push_back(r);
+  const std::vector<CorrelationMap::Record> records =
+      cm_.LiveRecords(row_limit);
+  if (records.empty()) return Status::OK();
+  BeginMaintenance();
+  Status st;
+  {
+    const auto lock = WriteLock();
+    st = cm_.LoadRecords(records);
+    cm_.SyncDirectory();
   }
-  InsertRowsBatched(rows);
-  return Status::OK();
+  EndMaintenance();
+  return st;
 }
 
 ConcurrentCorrelationMap::Pairs ConcurrentCorrelationMap::PairsOf(

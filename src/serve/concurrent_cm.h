@@ -49,10 +49,15 @@ class ConcurrentCorrelationMap {
         cm_(std::move(o.cm_)),
         epoch_(o.epoch_.load()) {}
 
-  /// Bulk build over the live rows below `row_limit` (not thread-safe; run
-  /// before serving starts, or on a not-yet-published recluster
-  /// successor). The recluster pass bounds a c-bucketed CM's build to
-  /// exactly the clustered region this way.
+  /// Bulk build of a freshly created map over the live rows below
+  /// `row_limit`: CorrelationMap::LiveRecords aggregates the rows into
+  /// their distinct pairs outside the lock, then LoadRecords inserts them
+  /// in (u-key, ordinal) order and the directory is synced, inside one
+  /// pair of epoch bumps (none when no row qualifies). The content,
+  /// ToRecords order and directory equal InsertRowsBatched over the same
+  /// rows. Run it before serving starts or on a not-yet-published
+  /// recluster successor; attach, recluster and recovery bound a
+  /// c-bucketed CM's build to exactly the clustered region this way.
   Status BuildFromTable(size_t row_limit = ~size_t{0});
 
   /// Thread-safe maintenance: buckets each row to its (u-key, clustered

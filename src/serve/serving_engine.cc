@@ -965,21 +965,17 @@ Status ServingEngine::ReplayTail(const ServingOptions& options,
   const auto t_start = std::chrono::steady_clock::now();
   Durability* d = options.durability;
 
-  // 3. Replay-derived structures: CMs (with per-engine rebuilt positional
-  // bucketings) and secondary indexes are rebuilt from the base data, not
-  // replayed from the log; calibration starts cold like any fresh epoch.
-  for (const RecoverCmSpec& cm : spec.cms) {
-    CmOptions co = cm.options;
-    std::unique_ptr<ClusteredBucketing> cb;
-    if (cm.c_bucket_target > 0) {
-      auto built =
-          ClusteredBucketing::Build(table(), co.c_col, cm.c_bucket_target);
-      if (!built.ok()) return built.status();
-      cb = std::make_unique<ClusteredBucketing>(std::move(*built));
-      co.c_buckets = cb.get();  // AttachCm copies it
-    }
-    Status s = AttachCm(co);
-    if (!s.ok()) return s;
+  // 3. Structures that cover the checkpoint's rows [0, boundary): the
+  // c-bucketed CMs' positional bucketings and the secondary indexes. They
+  // are rebuilt from the base data, not replayed from the log, and replay
+  // never moves the boundary, so they are built once, before the tail.
+  std::vector<std::unique_ptr<ClusteredBucketing>> buckets(spec.cms.size());
+  for (size_t i = 0; i < spec.cms.size(); ++i) {
+    if (spec.cms[i].c_bucket_target == 0) continue;
+    auto built = ClusteredBucketing::Build(table(), spec.cms[i].options.c_col,
+                                           spec.cms[i].c_bucket_target);
+    if (!built.ok()) return built.status();
+    buckets[i] = std::make_unique<ClusteredBucketing>(std::move(*built));
   }
   for (size_t i = 0; i < spec.secondary_indexes.size(); ++i) {
     auto idx = BuildSecondaryIndex(spec.secondary_indexes[i]);
@@ -988,12 +984,13 @@ Status ServingEngine::ReplayTail(const ServingOptions& options,
                           sidx_files[i]);
   }
 
-  // 4. Replay the committed log tail through the ordinary write path, so
-  // CM maintenance, tombstones, and the delete log evolve exactly as they
-  // did pre-crash. Row ids re-land deterministically: appends take
-  // consecutive ids from the row count, which starts at the checkpoint's
-  // count and is advanced only by these replayed records. A deletes-only
-  // record replays idempotently (skip_dead), as ApplyDeletes applied it.
+  // 4. Replay the committed log tail through the ordinary write path with
+  // no CM attached yet, so tombstones, appends and the delete log evolve
+  // as they did pre-crash while no record pays CM maintenance. Row ids
+  // re-land deterministically: appends take consecutive ids from the row
+  // count, which starts at the checkpoint's count and is advanced only by
+  // these replayed records. A deletes-only record replays idempotently
+  // (skip_dead), as ApplyDeletes applied it.
   for (const WalRecord& rec : d->CommittedTail()) {
     ++stats->records_scanned;
     Durability::WriteOp op;
@@ -1010,7 +1007,19 @@ Status ServingEngine::ReplayTail(const ServingOptions& options,
     if (!s.ok()) return s;
   }
 
-  // 5. Re-attach durability and re-arm the background triggers. No fresh
+  // 5. Each CM, built once over the recovered table in slot order. A CM
+  // holds the pairs of the live rows it covers (all of them, or those
+  // below the boundary when c-bucketed), so one build equals building
+  // over the checkpoint and maintaining it through every replayed write;
+  // calibration starts cold like any fresh epoch.
+  for (size_t i = 0; i < spec.cms.size(); ++i) {
+    CmOptions co = spec.cms[i].options;
+    co.c_buckets = buckets[i].get();  // AttachCm copies it
+    Status s = AttachCm(co);
+    if (!s.ok()) return s;
+  }
+
+  // 6. Re-attach durability and re-arm the background triggers. No fresh
   // checkpoint is needed: replay never permuted ids, so the existing
   // snapshot plus the retained tail plus future records stays replayable.
   durability_ = d;

@@ -241,14 +241,15 @@ class ServingEngine {
 
   /// Rebuilds a serving engine from `options.durability`'s state after a
   /// crash: clones the last checkpoint snapshot, rebuilds the clustered
-  /// index over it, re-attaches CMs and secondary indexes per `spec`
-  /// (calibration starts cold), then replays the committed WAL tail
-  /// through the ordinary write paths -- row ids re-land exactly because
-  /// ids are stable between checkpoints and the recovered row count
-  /// evolves identically to the pre-crash run. Records of uncommitted
-  /// txns and the torn log tail are never replayed. The engine comes
-  /// back with its capacity reservation re-established and durability
-  /// re-attached, ready to serve.
+  /// index, `spec`'s secondary indexes and its c-bucketed CMs' positional
+  /// bucketings over it, replays the committed WAL tail through the
+  /// ordinary write path with no CM attached -- row ids re-land exactly
+  /// because ids are stable between checkpoints and the recovered row
+  /// count evolves identically to the pre-crash run -- and then builds
+  /// each of `spec`'s CMs once over the recovered table (calibration
+  /// starts cold). Records of uncommitted txns and the torn log tail are
+  /// never replayed. The engine comes back with its capacity reservation
+  /// re-established and durability re-attached, ready to serve.
   static Result<std::unique_ptr<ServingEngine>> Recover(
       size_t c_col, const ServingOptions& options, const RecoverSpec& spec,
       RecoveryStats* stats = nullptr);
@@ -507,9 +508,10 @@ class ServingEngine {
   /// disarmed; it draws every pool file id the recovered engine will hold,
   /// one per `spec` secondary index included (`*sidx_files`), so opening
   /// shards in order issues ids exactly as recovering them one after
-  /// another does. ReplayTail rebuilds `spec`'s CMs and secondary indexes
-  /// into those ids, replays the committed log tail and re-attaches
-  /// durability; it touches no state another engine's ReplayTail does.
+  /// another does. ReplayTail builds `spec`'s secondary indexes into those
+  /// ids, replays the committed log tail, builds `spec`'s CMs and
+  /// re-attaches durability; it touches no state another engine's
+  /// ReplayTail does.
   /// Each half adds its own wall time to `stats->wall_seconds`.
   static Result<std::unique_ptr<ServingEngine>> OpenCheckpoint(
       size_t c_col, const ServingOptions& options, const RecoverSpec& spec,

@@ -33,6 +33,8 @@
 #include <array>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -258,8 +260,8 @@ struct RecoveryFuzzHarness {
   /// batch also carries a row id past the end of the heap: the whole batch
   /// must then be refused with nothing tombstoned and nothing logged, so
   /// neither the oracle nor the survivor accounting moves.
-  void DeleteBatch() {
-    const bool poisoned = rng.UniformInt(0, 2) == 0;
+  void DeleteBatch() { DeleteBatch(rng.UniformInt(0, 2) == 0); }
+  void DeleteBatch(bool poisoned) {
     std::vector<int64_t> ids;
     std::vector<RowId> rows;
     const int n = int(rng.UniformInt(1, 4));
@@ -585,6 +587,91 @@ TEST(RecoveryFuzzTest, RecoveryIsObservable) {
   EXPECT_GE(h.metrics.checkpoints->Value(), 1u);
   EXPECT_GT(h.metrics.wal_group_commit_ops->Count(), 0u);
   EXPECT_EQ(h.metrics.recovery_ms->Count(), 1u);
+}
+
+/// Sorted (u-key, ordinal, count) records: map iteration order depends on
+/// how a CM was built, its content does not.
+std::vector<std::tuple<std::string, int64_t, uint32_t>> SortedRecords(
+    const serve::ConcurrentCorrelationMap& cm) {
+  std::vector<std::tuple<std::string, int64_t, uint32_t>> out;
+  for (const CorrelationMap::Record& r : cm.ToRecords()) {
+    out.emplace_back(r.u.ToString(), r.c_ordinal, r.count);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(RecoveryFuzzTest, RecoveredCmsEqualThePreCrashCms) {
+  // Lossless crashes (group_commit_ops = 1, no torn tail): the recovered
+  // engine's CMs -- built once over the recovered table -- must hold
+  // exactly what the pre-crash engine's CMs reached through maintenance,
+  // for the unbucketed CM and the c-bucketed one alike.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    RecoveryFuzzHarness h(seed * 0x2545, /*base_rows=*/1500,
+                          /*reserve_extra=*/1 << 16,
+                          /*group_commit_ops=*/1);
+    const auto crud = [&h](int ops) {
+      for (int op = 0; op < ops; ++op) {
+        switch (h.rng.UniformInt(0, 3)) {
+          case 0:
+            h.AppendBatch(120);
+            break;
+          case 1:
+            h.DeleteOne();
+            break;
+          case 2:
+            h.DeleteBatch();
+            break;
+          default:
+            h.UpdateOne();
+            break;
+        }
+      }
+    };
+    crud(20);
+    h.DeleteBatch(/*poisoned=*/true);
+    h.Recluster();  // checkpoints; the replayed tail starts here
+    crud(30);
+    h.DeleteBatch(/*poisoned=*/true);
+    // Clustered rows die after the recluster, so the c-bucketed CM
+    // retracts during the tail as well as the unbucketed one.
+    const size_t dead_before = h.engine->table().NumDeleted();
+    for (int i = 0; i < 6; ++i) h.DeleteOne();
+    ASSERT_GT(h.engine->table().NumDeleted(), dead_before);
+
+    OracleMap recovered_oracle;
+    std::unique_ptr<ServingEngine> rec =
+        h.CrashAndRecover(/*torn=*/0, &recovered_oracle);
+    ASSERT_NE(rec, nullptr);
+    ASSERT_EQ(recovered_oracle, h.oracle);  // nothing was lost
+    ASSERT_EQ(rec->num_cms(), h.engine->num_cms());
+    for (size_t i = 0; i < rec->num_cms(); ++i) {
+      SCOPED_TRACE(i);
+      const serve::ConcurrentCorrelationMap& want = h.engine->cm(i);
+      const serve::ConcurrentCorrelationMap& got = rec->cm(i);
+      EXPECT_EQ(SortedRecords(got), SortedRecords(want));
+      EXPECT_EQ(got.NumUKeys(), want.NumUKeys());
+      std::vector<CmColumnPredicate> probes;
+      for (const int64_t x : {0, 7, 23, 48, 130, 499, 600}) {
+        probes.push_back(CmColumnPredicate::Points({Key(x)}));
+      }
+      const std::vector<Key> several = {Key(int64_t{3}), Key(int64_t{41})};
+      probes.push_back(CmColumnPredicate::Points(several));
+      for (const double lo : {0.0, 12.0, 40.0, 100.0}) {
+        probes.push_back(CmColumnPredicate::Range(lo, lo + 30));
+      }
+      probes.push_back(CmColumnPredicate::Range(0, 600));
+      for (const CmColumnPredicate& p : probes) {
+        const std::array<CmColumnPredicate, 1> preds = {p};
+        const CmLookupResult a = got.Lookup(preds);
+        const CmLookupResult b = want.Lookup(preds);
+        EXPECT_EQ(a.ranges, b.ranges);
+        EXPECT_EQ(a.num_ordinals, b.num_ordinals);
+        EXPECT_EQ(a.entries_probed, b.entries_probed);
+      }
+    }
+  }
 }
 
 TEST(RecoveryFuzzTest, ShardRouterRecoversEveryShard) {

@@ -35,7 +35,7 @@ constexpr int kWriters = 2;
 constexpr int kOpsPerWriter = 800;
 constexpr int kLookupsPerReader = 600;
 
-TEST(ShardedCmStressTest, ConcurrentValueMaintenanceKeepsLookupsSound) {
+TEST(ConcurrentCmStressTest, ConcurrentValueMaintenanceKeepsLookupsSound) {
   // Universe: u in [0, 499] maps to c = u / 5 (plus jitter inserted by
   // writers). Writers insert/delete (u, c) pairs from a fixed script;
   // readers run range lookups and assert every returned ordinal is from

@@ -7,7 +7,9 @@
 // unclustered tail.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -190,6 +192,129 @@ TEST(ConcurrentCmTest, EpochBracketsMaintenance) {
   EXPECT_EQ(f.served->Epoch(), e0 + 2);
   ASSERT_TRUE(f.served->DeleteValues(u, 77).ok());
   EXPECT_EQ(f.served->Epoch(), e0 + 4);
+}
+
+/// Builds `opts` over `table` twice -- BuildFromTable(row_limit), and
+/// InsertRowsBatched over the same live rows -- and expects the same
+/// records in the same order, the same u-key count and the same lookups.
+void ExpectBulkBuildMatchesBatched(const Table& table, const CmOptions& opts,
+                                   size_t row_limit,
+                                   std::span<const CmColumnPredicate> probe) {
+  auto bulk = ConcurrentCorrelationMap::Create(&table, opts);
+  auto batched = ConcurrentCorrelationMap::Create(&table, opts);
+  ASSERT_TRUE(bulk.ok() && batched.ok());
+  ASSERT_TRUE(bulk->BuildFromTable(row_limit).ok());
+  std::vector<RowId> live;
+  for (RowId r = 0; r < std::min(row_limit, table.NumRows()); ++r) {
+    if (!table.IsDeleted(r)) live.push_back(r);
+  }
+  batched->InsertRowsBatched(live);
+  const auto want = batched->ToRecords();
+  const auto got = bulk->ToRecords();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].u == want[i].u) << "record " << i;
+    EXPECT_EQ(got[i].c_ordinal, want[i].c_ordinal) << "record " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << "record " << i;
+  }
+  EXPECT_EQ(bulk->NumUKeys(), batched->NumUKeys());
+  EXPECT_EQ(bulk->NumEntries(), batched->NumEntries());
+  const CmLookupResult a = bulk->Lookup(probe);
+  const CmLookupResult b = batched->Lookup(probe);
+  EXPECT_EQ(a.ranges, b.ranges);
+  EXPECT_EQ(a.entries_probed, b.entries_probed);
+  EXPECT_TRUE(bulk->CheckInvariants().ok());
+}
+
+TEST(ConcurrentCmTest, BulkBuildMatchesBatchedInsertInOrder) {
+  // A double-clustered table whose clustered region mixes -0.0 and +0.0
+  // and whose unclustered u2 holds NaN, -NaN and both zeros; an unsorted
+  // tail follows, and every seventh row is tombstoned.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Schema schema({ColumnDef::Double("c"), ColumnDef::Int64("u1"),
+                 ColumnDef::Double("u2")});
+  Table table("t", std::move(schema));
+  Rng rng(89);
+  const auto row = [&](double c) {
+    const int64_t u1 = rng.UniformInt(0, 299);
+    const double specials[] = {kNaN, -kNaN, 0.0, -0.0};
+    double u2 = double(rng.UniformInt(0, 40)) / 4;
+    if (rng.UniformInt(0, 9) == 0) u2 = specials[rng.UniformInt(0, 3)];
+    const std::array<Key, 3> keys = {Key(c), Key(u1), Key(u2)};
+    table.AppendRowKeys(keys);
+  };
+  for (int i = 0; i < 6000; ++i) {
+    const int64_t c = rng.UniformInt(-20, 60);
+    row(c == 0 && rng.UniformInt(0, 1) == 0 ? -0.0 : double(c));
+  }
+  ASSERT_TRUE(table.ClusterBy(0).ok());
+  const size_t boundary = table.NumRows();
+  for (int i = 0; i < 1500; ++i) row(double(rng.UniformInt(-25, 65)));
+  for (RowId r = 3; r < table.NumRows(); r += 7) {
+    ASSERT_TRUE(table.DeleteRow(r).ok());
+  }
+
+  CmOptions single;
+  single.u_cols = {1};
+  single.u_bucketers = {Bucketer::Identity()};
+  single.c_col = 0;
+  CmOptions composite;
+  composite.u_cols = {1, 2};
+  composite.u_bucketers = {Bucketer::NumericWidth(25), Bucketer::Identity()};
+  composite.c_col = 0;
+  const std::array<CmColumnPredicate, 1> range1 = {
+      CmColumnPredicate::Range(40, 180)};
+  const std::array<CmColumnPredicate, 2> range2 = {
+      CmColumnPredicate::Range(0, 120),
+      CmColumnPredicate::Points({Key(kNaN), Key(-0.0), Key(2.5)})};
+  for (const size_t limit : {~size_t{0}, boundary, boundary / 3}) {
+    SCOPED_TRACE(limit);
+    ExpectBulkBuildMatchesBatched(table, single, limit, range1);
+    ExpectBulkBuildMatchesBatched(table, composite, limit, range2);
+  }
+  // c-bucketed: positional bucket ids over a clustered prefix.
+  Table prefix("p", table.schema());
+  for (RowId r = 0; r < boundary; ++r) {
+    std::array<Key, 3> keys;
+    for (size_t c = 0; c < 3; ++c) keys[c] = table.GetKey(r, c);
+    prefix.AppendRowKeys(keys);
+  }
+  ASSERT_TRUE(prefix.ClusterBy(0).ok());
+  for (RowId r = 5; r < prefix.NumRows(); r += 11) {
+    ASSERT_TRUE(prefix.DeleteRow(r).ok());
+  }
+  auto cb = ClusteredBucketing::Build(prefix, 0, 200);
+  ASSERT_TRUE(cb.ok());
+  CmOptions bucketed = composite;
+  bucketed.c_buckets = &*cb;
+  ExpectBulkBuildMatchesBatched(prefix, bucketed, ~size_t{0}, range2);
+  ExpectBulkBuildMatchesBatched(prefix, bucketed, boundary / 2, range2);
+}
+
+TEST(ConcurrentCmTest, EmptyBulkBuildBumpsNothing) {
+  Schema schema({ColumnDef::Int64("c"), ColumnDef::Int64("u")});
+  Table table("t", std::move(schema));
+  ASSERT_TRUE(table.ClusterBy(0).ok());
+  CmOptions opts;
+  opts.u_cols = {1};
+  opts.u_bucketers = {Bucketer::Identity()};
+  opts.c_col = 0;
+  auto cm = ConcurrentCorrelationMap::Create(&table, opts);
+  ASSERT_TRUE(cm.ok());
+  const uint64_t e0 = cm->Epoch();
+  ASSERT_TRUE(cm->BuildFromTable().ok());
+  EXPECT_EQ(cm->Epoch(), e0);
+  EXPECT_EQ(cm->NumEntries(), 0u);
+  // Rows that are all tombstoned, or all past the limit, build nothing too.
+  for (int64_t i = 0; i < 4; ++i) {
+    const std::array<Key, 2> keys = {Key(i), Key(i * 3)};
+    table.AppendRowKeys(keys);
+  }
+  ASSERT_TRUE(cm->BuildFromTable(0).ok());
+  for (RowId r = 0; r < 4; ++r) ASSERT_TRUE(table.DeleteRow(r).ok());
+  ASSERT_TRUE(cm->BuildFromTable().ok());
+  EXPECT_EQ(cm->Epoch(), e0);
+  EXPECT_EQ(cm->NumEntries(), 0u);
 }
 
 TEST(SharedLookupCacheTest, HitsOnlyAtExactEpochAndEvictsStaleLazily) {
